@@ -64,6 +64,10 @@ _METHOD_NAMES = {"ssg": SSG, "rsg": RSG, "dig": DIG}
 _STANDARDIZE_DEFAULT = {"miller": True, "motivating5": True, "misspec4": False, "csv": False}
 
 
+class UsageError(ValueError):
+    """An invalid flag value that shows only once the data are loaded."""
+
+
 def default_m(n: int) -> int:
     """Per-iteration update count: 1% of n up to 1000, 2% to 5000, 3% beyond."""
     if n < 1:
@@ -118,10 +122,19 @@ class ExperimentSpec:
             raise ValueError("need --k-fit >= 1")
         if self.window < 2:
             raise ValueError("need --window >= 2")
+        if self.window > self.iters:
+            raise ValueError(f"--window ({self.window}) must not exceed --iters ({self.iters})")
+        if self.data != "csv":
+            self.check_m(self.n)
         if self.lambda_max <= 1:
             raise ValueError("need --lambda-max > 1")
         if self.tanh_a <= 0:
             raise ValueError("need --tanh-a > 0")
+
+    def check_m(self, n: int):
+        """Reject an explicit --m outside [1, n] when RSG or DIG runs; SSG ignores it."""
+        if self.m is not None and {RSG, DIG} & set(self.methods) and not 1 <= self.m <= n:
+            raise UsageError(f"need 1 <= --m <= n = {n} for RSG and DIG, got --m {self.m}")
 
 
 def build_dataset(spec: ExperimentSpec) -> Dataset:
@@ -260,6 +273,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
     """Run all method x replica chains and write artifacts; returns exit code contribution."""
     spec.validate()
     dataset = build_dataset(spec)
+    spec.check_m(dataset.n)
     k_fit = default_k_fit(spec, dataset)
     prior = empirical_bayes_hyperparams(dataset, k_fit)
     m = spec.m if spec.m is not None else default_m(dataset.n)
@@ -417,6 +431,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return run_experiment(spec)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (FileNotFoundError, OSError, CsvError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -107,15 +107,30 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
 
 
 def posterior_similarity_matrix(snapshots) -> np.ndarray:
-    """(n, n) fraction of snapshots in which each pair shares a component."""
+    """(n, n) fraction of snapshots in which each pair shares a component.
+
+    Pair counts come from products of the one-hot allocation indicators,
+    one block of snapshots at a time: a block's (n, block*K) indicator holds
+    at most as many entries as the (n, n) result.
+    """
     snaps = [np.asarray(z) for z in snapshots]
     if not snaps:
         raise ValueError("need at least one snapshot")
-    n = snaps[0].size
-    psm = np.zeros((n, n))
-    for z in snaps:
-        psm += (z[:, None] == z[None, :])
-    return psm / len(snaps)
+    snaps = np.stack(snaps)
+    S, n = snaps.shape
+    K = int(snaps.max()) + 1
+    eye = np.eye(K)
+    block = max(1, n // K)
+    psm = None      # the first block's product is the result: no second (n, n) buffer
+    for s0 in range(0, S, block):
+        onehot = eye[snaps[s0:s0 + block].T].reshape(n, -1)
+        counts = onehot @ onehot.T
+        if psm is None:
+            psm = counts
+        else:
+            psm += counts
+    psm /= S
+    return psm
 
 
 def occupied_components(z, K: int) -> tuple[int, np.ndarray]:

@@ -172,14 +172,19 @@ def refresh_responsibilities(dataset: Dataset, state: MixtureState) -> Responsib
     return ResponsibilityMatrix(p=_normalise_rows(logp), stale_age=0)
 
 
-def complete_log_likelihood(dataset: Dataset, state: MixtureState) -> float:
-    """Sum over observations of log pi_{z_i} + log N(x_i | component z_i)."""
-    z = state.z
-    mu = state.mu[z]          # (n, d)
-    s2 = state.sigma2[z]
-    quad = ((dataset.x - mu) ** 2 / s2).sum(axis=1)
-    logdet = np.log(s2).sum(axis=1)
-    cll = float(np.sum(np.log(state.pi[z]) - 0.5 * (LOG_2PI * dataset.d + logdet + quad)))
+def complete_log_likelihood(dataset: Dataset, state: MixtureState, stats=None) -> float:
+    """Sum over observations of log pi_{z_i} + log N(x_i | component z_i).
+
+    Computed from the per-component statistics ``(counts, sums, sqsums)`` of
+    ``state.z`` in O(Kd); they are recomputed from the data when not given.
+    """
+    if stats is None:
+        stats = component_sufficient_stats(dataset, state.z, state.K)
+    counts, sums, sqsums = stats
+    nk = counts[:, None]
+    quad = (sqsums - 2.0 * state.mu * sums + nk * state.mu ** 2) / state.sigma2
+    logdet = nk * (LOG_2PI + np.log(state.sigma2))
+    cll = float(counts @ np.log(state.pi) - 0.5 * (logdet + quad).sum())
     if not np.isfinite(cll):
         raise ValueError("non-finite complete log-likelihood")
     return cll
@@ -206,9 +211,13 @@ def sample_allocations_rows(rows: np.ndarray, rng) -> np.ndarray:
     return np.minimum(draws, rows.shape[1] - 1)
 
 
-def sample_mixture_weights(state: MixtureState, prior: PriorSpec, rng) -> np.ndarray:
-    """Dirichlet(a/K + n_1, ..., a/K + n_K) draw given the allocations."""
-    counts = np.bincount(state.z, minlength=state.K)
+def sample_mixture_weights(state: MixtureState, prior: PriorSpec, rng, stats=None) -> np.ndarray:
+    """Dirichlet(a/K + n_1, ..., a/K + n_K) draw given the allocations.
+
+    The counts are taken from ``stats`` (see :func:`component_sufficient_stats`)
+    when given, else counted from ``state.z``.
+    """
+    counts = np.bincount(state.z, minlength=state.K) if stats is None else stats[0]
     pi = rng.dirichlet(prior.a / state.K + counts)
     # Guard against exact zeros from extreme Dirichlet draws.
     pi = np.maximum(pi, 1e-300)
@@ -227,14 +236,39 @@ def component_sufficient_stats(dataset: Dataset, z: np.ndarray, K: int):
     return counts, sums, sqsums
 
 
-def sample_component_params(dataset: Dataset, state: MixtureState, prior: PriorSpec, rng):
+def update_sufficient_stats(stats, x_rows: np.ndarray, z_old: np.ndarray, z_new: np.ndarray):
+    """Move rows ``x_rows`` from components ``z_old`` to ``z_new`` in ``stats``, in place.
+
+    Each row must appear once.  Costs O(md + Kd) for m rows: the one-hot
+    difference matrix (zero on rows that stay) enters two (K, m) x (m, d)
+    products.
+    """
+    counts, sums, sqsums = stats
+    eye = np.eye(counts.size)
+    diff = eye[z_new] - eye[z_old]
+    counts += diff.sum(axis=0)
+    sums += diff.T @ x_rows
+    sqsums += diff.T @ (x_rows * x_rows)
+    if not counts.all():
+        # An emptied component keeps the exact zeros a recompute gives,
+        # not the rounding residue of its departed rows.
+        empty = counts == 0
+        sums[empty] = 0.0
+        sqsums[empty] = 0.0
+
+
+def sample_component_params(dataset: Dataset, state: MixtureState, prior: PriorSpec, rng, stats=None):
     """One semi-conjugate sweep: mu | sigma2 then sigma2 | mu, all components.
 
-    Empty components fall through to prior draws.  Returns (mu, sigma2,
-    clamp_events) where clamp_events counts variance draws hitting the floor.
+    ``stats`` are the ``(counts, sums, sqsums)`` of ``state.z``, recomputed
+    from the data when not given.  Empty components fall through to prior
+    draws.  Returns (mu, sigma2, clamp_events) where clamp_events counts
+    variance draws hitting the floor.
     """
     K = state.K
-    counts, sums, sqsums = component_sufficient_stats(dataset, state.z, K)
+    if stats is None:
+        stats = component_sufficient_stats(dataset, state.z, K)
+    counts, sums, sqsums = stats
     nk = counts[:, None]  # (K, 1)
 
     prec = 1.0 / prior.tau2 + nk / state.sigma2

@@ -26,15 +26,19 @@ from .adaptation import (
     weight_pair,
 )
 from .model import (
+    VARIANCE_FLOOR,
     Dataset,
     MixtureState,
     PriorSpec,
+    _normalise_rows,
     complete_log_likelihood,
+    component_sufficient_stats,
     log_density_matrix,
     refresh_responsibilities,
     sample_allocations_rows,
     sample_component_params,
     sample_mixture_weights,
+    update_sufficient_stats,
 )
 
 SSG = "SSG"
@@ -109,7 +113,7 @@ def init_state(dataset: Dataset, K: int, prior: PriorSpec, rng) -> MixtureState:
         sigma2 = np.repeat(s2[:, None], dataset.d, axis=1)
     else:
         sigma2 = prior.beta_sigma / rng.gamma(prior.alpha_sigma, size=(K, dataset.d))
-    sigma2 = np.maximum(sigma2, 1e-12)
+    sigma2 = np.maximum(sigma2, VARIANCE_FLOOR)
     return MixtureState(z=z, pi=pi, mu=mu, sigma2=sigma2)
 
 
@@ -142,12 +146,6 @@ def _resolve_m(config: SamplerConfig, n: int) -> int:
     if not 1 <= config.m <= n:
         raise ValueError("need 1 <= m <= n")
     return config.m
-
-
-def _normalise_logp(logp):
-    shifted = logp - logp.max(axis=1, keepdims=True)
-    w = np.exp(shifted)
-    return w / w.sum(axis=1, keepdims=True)
 
 
 def run_chain(dataset: Dataset, K: int, prior: PriorSpec, config: SamplerConfig, rng=None) -> ChainTrace:
@@ -204,53 +202,71 @@ def run_chain(dataset: Dataset, K: int, prior: PriorSpec, config: SamplerConfig,
         sum_pi = np.zeros(K)
         sum_mu = np.zeros((K, dataset.d))
         sum_sigma2 = np.zeros((K, dataset.d))
+        est = MixtureState(z=state.z, pi=np.full(K, 1.0 / K), mu=np.zeros((K, dataset.d)),
+                           sigma2=np.ones((K, dataset.d)))
+
+    # Per-component (counts, sums, sqsums) of the current allocations, shared
+    # by the pi and mu/sigma2 draws, the trace CLL and occupancy.  A subset
+    # update moves only the changed rows when that touches fewer rows (2m)
+    # than a recompute (n); a recompute once per epoch bounds rounding drift.
+    incremental = 2 * m < n
+    epoch = -(-n // m)
+    stats = None
 
     elapsed = 0
     for t in range(1, T + 1):
         tic = time.perf_counter_ns()
+        update = incremental and (t - 1) % epoch != 0
 
         if is_ssg:
-            P = _normalise_logp(log_density_matrix(x, state))
+            P = _normalise_rows(log_density_matrix(x, state))
             state.z = sample_allocations_rows(P, rng)
             draws += n
-        elif config.method == RSG:
-            idx = rng.integers(0, n, m)
-            rows = _normalise_logp(log_density_matrix(x[idx], state))
-            new_z = sample_allocations_rows(rows, rng)
-            state.z[idx] = new_z      # duplicates resolve to the last draw
-            draws += m
-        else:  # DIG
-            adaptive.t = t
-            if refresh_due(t, T) or resp is None:
-                resp = refresh_responsibilities(dataset, state)
-                p_assigned = resp.p[idx_n, state.z]
-                lambda_schedule(adaptive, p_assigned, m)
-                cur_ess = ess(p_assigned, adaptive.lam)
+        else:
+            if is_dig:
+                adaptive.t = t
+                if refresh_due(t, T) or resp is None:
+                    resp = refresh_responsibilities(dataset, state)
+                    p_assigned = resp.p[idx_n, state.z]
+                    lambda_schedule(adaptive, p_assigned, m)
+                    cur_ess = ess(p_assigned, adaptive.lam)
+                else:
+                    resp.stale_age += 1
+                    p_assigned = resp.p[idx_n, state.z]
+                f, g = weight_pair(t, schedule)
+                if config.discomfort.kind == "exponential":
+                    np.multiply(p_assigned, -adaptive.lam, out=d_buf)
+                    np.exp(d_buf, out=d_buf)
+                else:
+                    d_buf = discomfort(p_assigned, adaptive.lam, config.discomfort, p_row=resp.p)
+                    d_buf = np.maximum(d_buf, 1e-12)
+                alpha_raw *= f
+                d_buf *= g
+                alpha_raw += d_buf
+                # The race keys are scale-invariant in the weights, so the raw
+                # vector can drive selection directly; normalisation happens
+                # only in the untimed bookkeeping below.
+                idx = sample_without_replacement(alpha_raw, m, rng)
             else:
-                resp.stale_age += 1
-                p_assigned = resp.p[idx_n, state.z]
-            f, g = weight_pair(t, schedule)
-            if config.discomfort.kind == "exponential":
-                np.multiply(p_assigned, -adaptive.lam, out=d_buf)
-                np.exp(d_buf, out=d_buf)
-            else:
-                d_buf = discomfort(p_assigned, adaptive.lam, config.discomfort, p_row=resp.p)
-                d_buf = np.maximum(d_buf, 1e-12)
-            alpha_raw *= f
-            d_buf *= g
-            alpha_raw += d_buf
-            # The race keys are scale-invariant in the weights, so the raw
-            # vector can drive selection directly; normalisation happens only
-            # in the untimed bookkeeping below.
-            idx = sample_without_replacement(alpha_raw, m, rng)
-            rows = _normalise_logp(log_density_matrix(x[idx], state))
+                idx = rng.integers(0, n, m)
+            rows = _normalise_rows(log_density_matrix(x[idx], state))
             new_z = sample_allocations_rows(rows, rng)
+            if update:
+                # RSG's duplicate indices resolve to the last draw; each
+                # changed row must enter the statistics update once.
+                changed = idx if is_dig else np.unique(idx)
+                z_old = state.z[changed]
             state.z[idx] = new_z
-            resp.p[idx] = rows        # piggyback: selected rows are fresh
+            if is_dig:
+                resp.p[idx] = rows    # piggyback: selected rows are fresh
             draws += m
 
-        state.pi = sample_mixture_weights(state, prior, rng)
-        state.mu, state.sigma2, c = sample_component_params(dataset, state, prior, rng)
+        if update:
+            update_sufficient_stats(stats, x[changed], z_old, state.z[changed])
+        else:
+            stats = component_sufficient_stats(dataset, state.z, K)
+        state.pi = sample_mixture_weights(state, prior, rng, stats)
+        state.mu, state.sigma2, c = sample_component_params(dataset, state, prior, rng, stats)
         clamps += c
 
         elapsed += time.perf_counter_ns() - tic
@@ -261,12 +277,14 @@ def run_chain(dataset: Dataset, K: int, prior: PriorSpec, config: SamplerConfig,
             sum_pi += state.pi
             sum_mu += state.mu
             sum_sigma2 += state.sigma2
-            pi_hat = sum_pi / sum_pi.sum()
-            est = MixtureState(z=state.z, pi=pi_hat, mu=sum_mu / t, sigma2=sum_sigma2 / t)
-            cll[t - 1] = complete_log_likelihood(dataset, est)
+            est.z = state.z
+            np.divide(sum_pi, sum_pi.sum(), out=est.pi)
+            np.divide(sum_mu, t, out=est.mu)
+            np.divide(sum_sigma2, t, out=est.sigma2)
+            cll[t - 1] = complete_log_likelihood(dataset, est, stats)
         else:
-            cll[t - 1] = complete_log_likelihood(dataset, state)
-        occupied[t - 1] = int(np.count_nonzero(np.bincount(state.z, minlength=K)))
+            cll[t - 1] = complete_log_likelihood(dataset, state, stats)
+        occupied[t - 1] = np.count_nonzero(stats[0])
         if is_dig:
             lam_tr[t - 1] = adaptive.lam
             ess_tr[t - 1] = cur_ess
@@ -280,7 +298,7 @@ def run_chain(dataset: Dataset, K: int, prior: PriorSpec, config: SamplerConfig,
             if is_ssg:
                 p_now = P[np.arange(n), state.z]
             else:
-                p_now = _normalise_logp(log_density_matrix(x, state))[np.arange(n), state.z]
+                p_now = _normalise_rows(log_density_matrix(x, state))[np.arange(n), state.z]
             dref_sum += np.exp(-p_now)
             dref_count += 1
 

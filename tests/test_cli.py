@@ -232,3 +232,30 @@ def test_main_happy_path(tmp_path):
     ])
     assert code == EXIT_OK
     assert (tmp_path / "run" / "trace_dig_00.csv").exists()
+
+
+def test_main_rejects_window_above_iters(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["--n", "200", "--replicas", "2", "--iters", "300", "--threads", "1",
+                 "--out-dir", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--window" in err and "--iters" in err
+    assert not out.exists() or not any(out.glob("trace_*.csv"))
+
+
+@pytest.mark.parametrize("m", [0, 500])
+def test_main_rejects_m_outside_range(tmp_path, capsys, m):
+    out = tmp_path / "run"
+    base = ["--iters", "60", "--window", "20", "--threads", "1", "--replicas", "1",
+            "--out-dir", str(out), "--m", str(m)]
+    assert main(["--n", "200", *base]) == EXIT_USAGE
+    assert "--m" in capsys.readouterr().err
+    # CSV data are checked once the file is loaded.
+    p = tmp_path / "d.csv"
+    p.write_text("a,b\n" + "".join(f"{i},{i % 7}\n" for i in range(30)))
+    assert main(["--data", "csv", "--csv-path", str(p), "--k-fit", "2", *base]) == EXIT_USAGE
+    assert "n = 30" in capsys.readouterr().err
+    assert not out.exists() or not any(out.glob("trace_*.csv"))
+    # SSG-only runs ignore --m.
+    assert main(["--n", "60", "--methods", "ssg", "--snapshot-every", "0", *base]) == EXIT_OK

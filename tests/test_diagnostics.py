@@ -169,6 +169,23 @@ def test_psm_exact_small():
     np.testing.assert_allclose(psm, [[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]])
 
 
+def psm_loop(snapshots):
+    """Reference PSM: one pairwise comparison matrix per snapshot."""
+    n = len(snapshots[0])
+    psm = np.zeros((n, n))
+    for z in snapshots:
+        psm += (z[:, None] == z[None, :])
+    return psm / len(snapshots)
+
+
+@pytest.mark.parametrize("n,S,K", [(12, 40, 3), (30, 7, 5), (9, 50, 20), (200, 60, 3)])
+def test_psm_matches_loop_exactly(n, S, K):
+    # (9, 50, 20): K > n gives one snapshot per block; (12, 40, 3) spans ten blocks.
+    rng = np.random.default_rng(n * S)
+    snaps = [rng.integers(0, K, n).astype(np.int32) for _ in range(S)]
+    np.testing.assert_array_equal(posterior_similarity_matrix(snaps), psm_loop(snaps))
+
+
 def test_psm_needs_snapshots():
     with pytest.raises(ValueError):
         posterior_similarity_matrix([])
