@@ -110,27 +110,26 @@ def posterior_similarity_matrix(snapshots) -> np.ndarray:
     """(n, n) fraction of snapshots in which each pair shares a component.
 
     Pair counts come from products of the one-hot allocation indicators,
-    one block of snapshots at a time: a block's (n, block*K) indicator holds
-    at most as many entries as the (n, n) result.
+    one block of snapshots at a time, so a block's (n, block*K) indicator
+    holds at most half as many entries as the (n, n) result.  The counts are
+    whole numbers no larger than S, exact in float32 while S < 2**24, which
+    halves the memory of the indicator, the products and the running total;
+    the peak is about 1.5 float64 (n, n) arrays, at the final division.
     """
     snaps = [np.asarray(z) for z in snapshots]
     if not snaps:
         raise ValueError("need at least one snapshot")
-    snaps = np.stack(snaps)
-    S, n = snaps.shape
-    K = int(snaps.max()) + 1
-    eye = np.eye(K)
-    block = max(1, n // K)
-    psm = None      # the first block's product is the result: no second (n, n) buffer
+    S, n = len(snaps), snaps[0].size
+    K = max(int(z.max()) for z in snaps) + 1
+    dtype = np.float32 if S < 2**24 else np.float64
+    eye = np.eye(K, dtype=dtype)
+    block = max(1, n // (2 * K))
+    counts = np.zeros((n, n), dtype=dtype)
     for s0 in range(0, S, block):
-        onehot = eye[snaps[s0:s0 + block].T].reshape(n, -1)
-        counts = onehot @ onehot.T
-        if psm is None:
-            psm = counts
-        else:
-            psm += counts
-    psm /= S
-    return psm
+        onehot = eye[np.stack(snaps[s0:s0 + block], axis=1)].reshape(n, -1)
+        counts += onehot @ onehot.T
+        del onehot      # freed before the next block and the division
+    return np.divide(counts, S, dtype=np.float64)
 
 
 def occupied_components(z, K: int) -> tuple[int, np.ndarray]:

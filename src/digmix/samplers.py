@@ -206,17 +206,17 @@ def run_chain(dataset: Dataset, K: int, prior: PriorSpec, config: SamplerConfig,
                            sigma2=np.ones((K, dataset.d)))
 
     # Per-component (counts, sums, sqsums) of the current allocations, shared
-    # by the pi and mu/sigma2 draws, the trace CLL and occupancy.  A subset
-    # update moves only the changed rows when that touches fewer rows (2m)
-    # than a recompute (n); a recompute once per epoch bounds rounding drift.
-    incremental = 2 * m < n
+    # by the pi and mu/sigma2 draws, the trace CLL and occupancy.  RSG and
+    # DIG move only the changed rows, with a recompute once per epoch
+    # (ceil(n/m) iterations) to bound rounding drift; at m = n every
+    # iteration is an epoch start.
     epoch = -(-n // m)
     stats = None
 
     elapsed = 0
     for t in range(1, T + 1):
         tic = time.perf_counter_ns()
-        update = incremental and (t - 1) % epoch != 0
+        update = not is_ssg and (t - 1) % epoch != 0
 
         if is_ssg:
             P = _normalise_rows(log_density_matrix(x, state))

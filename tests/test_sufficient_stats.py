@@ -98,14 +98,15 @@ def test_draws_identical_with_given_stats():
 
 # ---------------------------------------------------------------- chains keep exact statistics
 
-@pytest.mark.parametrize("method,m,incremental", [
-    (RSG, 10, True),
-    (DIG, 10, True),
-    (RSG, 99, True),      # m just below n/2: many duplicate indices per draw
-    (DIG, 100, False),    # 2m >= n: recomputed every iteration
-    (RSG, 150, False),
+@pytest.mark.parametrize("method,m", [
+    (RSG, 10),
+    (DIG, 10),
+    (RSG, 99),      # m just below n/2: many duplicate indices per draw
+    (DIG, 100),     # n/2 <= m < n: update and recompute alternate
+    (RSG, 150),
+    (RSG, 200),     # m = n: recomputed every iteration
 ])
-def test_chain_statistics_match_recompute(monkeypatch, method, m, incremental):
+def test_chain_statistics_match_recompute(monkeypatch, method, m):
     ds = miller(n=200)
     K = 3
     prior = empirical_bayes_hyperparams(ds, K)
@@ -133,7 +134,7 @@ def test_chain_statistics_match_recompute(monkeypatch, method, m, incremental):
         assert tr.allocation_draws == T * m
     assert seen["checked"] == 2 * T
     epoch = -(-ds.n // m)
-    assert seen["updates"] == (2 * (T - len(range(1, T + 1, epoch))) if incremental else 0)
+    assert seen["updates"] == 2 * (T - len(range(1, T + 1, epoch)))
 
 
 def test_long_chain_statistics_match_final_allocations(monkeypatch):
