@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 # Standard normal 99% quantile, fixed for bit-reproducibility.
 Z_99 = 2.326348
@@ -128,51 +127,69 @@ def ess(p_assigned_vec, lam: float) -> float:
     return float(w.sum() ** 2 / np.sum(w ** 2))
 
 
-def solve_lambda(p_assigned_vec, m: float, Lambda: float) -> float:
+def solve_lambda(p_assigned_vec, m: float, Lambda: float, lam0: float = 1.0) -> float:
     """Find lambda in [1, Lambda] with ESS(lambda) ~ m.
 
-    Coarse 17-point grid scan (one vectorised pass) brackets a sign change of
-    ESS - m, refined by Brent's method to an interval below 1e-12.  If no root
-    lies inside the interval, the nearer endpoint (or nearest grid point) wins.
+    ESS is non-increasing in lambda: with weights w_i proportional to
+    exp(-lambda q_i) on the shifted probabilities q, normalised to sum 1,
+    d/dlambda log sum w^2 = 2 (E_lambda[q] - E_2lambda[q]) >= 0.  So if
+    ESS(1) <= m the answer is 1, and if ESS(Lambda) > m it is Lambda.
+    Otherwise a Newton iteration on log ESS - log m, started from ``lam0``
+    (the previous lambda, clipped into [1, Lambda]), runs until its step is
+    below 1e-12.  A step that leaves the bracket known so far probes the
+    endpoint not yet visited, or else bisects.
     """
     p = np.asarray(p_assigned_vec, dtype=float)
     n = p.size
     if m > n:
         raise ValueError("target exceeds population")
-    tol = 1e-6 * n
+    xtol = 1e-12
 
     q = p - p.min()   # shift once; ESS is invariant and exp never underflows
+    w = np.empty_like(q)
+    log_m = math.log(m)
 
-    def f(lam):
-        w = np.exp(-lam * q)
-        return w.sum() ** 2 / np.sum(w * w) - m
+    def evaluate(lam):
+        """(ESS - m, d/dlambda log ESS, log ESS - log m) at lam, from one exp."""
+        np.multiply(q, -lam, out=w)
+        np.exp(w, out=w)
+        s1 = w.sum()
+        e1 = (w @ q) / s1
+        np.multiply(w, w, out=w)
+        s2 = w.sum()
+        e2 = (w @ q) / s2
+        return s1 * s1 / s2 - m, 2.0 * (e2 - e1), 2.0 * math.log(s1) - math.log(s2) - log_m
 
-    f_lo = f(1.0)
-    if f_lo <= 0:
-        # Concentration already at or past the target at the smallest lambda.
-        return 1.0
-    if f(Lambda) > 0:
-        return Lambda
-
-    # Scan left to right, evaluating lazily: the leftmost sign change is
-    # usually within the first few grid points, so most evaluations never run.
-    grid = np.linspace(1.0, Lambda, 17)
-    vals = [f_lo]
-    bracket = None
-    for i in range(1, len(grid)):
-        if abs(vals[i - 1]) <= tol:
-            return float(grid[i - 1])
-        fi = f(grid[i])
-        vals.append(fi)
-        if vals[i - 1] > 0 >= fi:
-            if fi == 0.0:
-                return float(grid[i])
-            bracket = (grid[i - 1], grid[i])
-            break
-    if bracket is None:
-        # No sign change on the grid (non-monotone edge case): nearest value.
-        return float(grid[int(np.argmin(np.abs(vals)))])
-    return float(brentq(f, bracket[0], bracket[1], xtol=1e-12))
+    lo, hi = 1.0, float(Lambda)             # f(lo) > 0 >= f(hi) once both are visited
+    lo_seen = hi_seen = False
+    lam = min(max(float(lam0), lo), hi)
+    while True:
+        f, slope, g = evaluate(lam)
+        if f > 0:
+            if lam == hi:
+                return hi
+            lo, lo_seen = lam, True
+        else:
+            if lam == lo:
+                return lo
+            hi, hi_seen = lam, True
+        if slope < 0:
+            step = -g / slope
+            if abs(step) <= xtol:
+                return min(max(lam + step, lo), hi)
+            nxt = lam + step
+        else:
+            nxt = math.inf if f > 0 else -math.inf
+        if not lo < nxt < hi:
+            if nxt >= hi and not hi_seen:
+                nxt = hi
+            elif nxt <= lo and not lo_seen:
+                nxt = lo
+            else:
+                nxt = 0.5 * (lo + hi)
+                if hi - lo <= xtol:
+                    return nxt
+        lam = nxt
 
 
 def lambda_schedule(adaptive: AdaptiveState, p_assigned_vec, m: float) -> float:
@@ -182,7 +199,7 @@ def lambda_schedule(adaptive: AdaptiveState, p_assigned_vec, m: float) -> float:
     pinned at 1.  Counters feed the bound warning.
     """
     if adaptive.t <= adaptive.s:
-        lam = solve_lambda(p_assigned_vec, m, adaptive.Lambda)
+        lam = solve_lambda(p_assigned_vec, m, adaptive.Lambda, adaptive.lam)
         adaptive.refresh_count += 1
         if lam >= adaptive.Lambda:
             adaptive.lambda_at_bound_count += 1

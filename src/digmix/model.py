@@ -24,6 +24,10 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # Variance draws are clamped below this to keep log densities finite.
 VARIANCE_FLOOR = 1e-12
 
+# Shifted log weights are floored here before exponentiating; exp(-700) is
+# about 1e-304, still a normal double.
+LOG_FLOOR = -700.0
+
 
 @dataclass
 class Dataset:
@@ -135,11 +139,14 @@ def log_component_density(x_row, mu_k, sigma2_k) -> float:
     return float(-0.5 * np.sum(LOG_2PI + np.log(sigma2_k) + (x_row - mu_k) ** 2 / sigma2_k))
 
 
-def log_density_matrix(x: np.ndarray, state: MixtureState) -> np.ndarray:
+def log_density_matrix(x: np.ndarray, state: MixtureState, out=None, xsq=None, work=None) -> np.ndarray:
     """(n, K) matrix of log pi_k + log N(x_i | mu_k, sigma2_k).
 
     The quadratic form is expanded so the whole matrix comes from two
-    matrix products instead of a per-component pass.
+    matrix products instead of a per-component pass.  Repeated callers pass
+    ``xsq`` (``x * x``, computed once), the (n, K) result buffer ``out`` and
+    an (n, K) scratch ``work`` for the quadratic term; whatever is left out
+    is allocated.
     """
     inv = 1.0 / state.sigma2                               # (K, d)
     const = (
@@ -147,16 +154,28 @@ def log_density_matrix(x: np.ndarray, state: MixtureState) -> np.ndarray:
         - 0.5 * (LOG_2PI * x.shape[1] + np.log(state.sigma2).sum(axis=1))
         - 0.5 * (state.mu ** 2 * inv).sum(axis=1)
     )                                                      # (K,)
-    out = x @ (state.mu * inv).T                           # cross terms
-    out -= 0.5 * (x ** 2) @ inv.T
+    if xsq is None:
+        xsq = x * x
+    out = np.matmul(x, (state.mu * inv).T, out=out)        # cross terms
+    # Scaling by -0.5 is exact, so this adds the same values as
+    # subtracting half of the unscaled product.
+    out += np.matmul(xsq, -0.5 * inv.T, out=work)
     out += const
     return out
 
 
 def _normalise_rows(logp: np.ndarray) -> np.ndarray:
-    shifted = logp - logp.max(axis=1, keepdims=True)
-    w = np.exp(shifted)
-    return w / w.sum(axis=1, keepdims=True)
+    """Turn each row of log weights into probabilities, in place.
+
+    The shifted log weights are floored at ``LOG_FLOOR`` before ``exp``,
+    which is many times slower when its result is subnormal or zero; only
+    probabilities below about 1e-304 change, and no draw does.
+    """
+    logp -= logp.max(axis=1, keepdims=True)
+    np.maximum(logp, LOG_FLOOR, out=logp)
+    np.exp(logp, out=logp)
+    logp /= logp.sum(axis=1, keepdims=True)
+    return logp
 
 
 def responsibilities_row(x_row, state: MixtureState) -> np.ndarray:
@@ -166,9 +185,14 @@ def responsibilities_row(x_row, state: MixtureState) -> np.ndarray:
     return _normalise_rows(logp)[0]
 
 
-def refresh_responsibilities(dataset: Dataset, state: MixtureState) -> ResponsibilityMatrix:
-    """Full (n, K) recomputation of the responsibility matrix; resets staleness."""
-    logp = log_density_matrix(dataset.x, state)
+def refresh_responsibilities(dataset: Dataset, state: MixtureState, out=None, xsq=None,
+                             work=None) -> ResponsibilityMatrix:
+    """Full (n, K) recomputation of the responsibility matrix; resets staleness.
+
+    ``out``, ``xsq`` and ``work`` are the buffers of :func:`log_density_matrix`;
+    the matrix is written into ``out`` when given.
+    """
+    logp = log_density_matrix(dataset.x, state, out=out, xsq=xsq, work=work)
     return ResponsibilityMatrix(p=_normalise_rows(logp), stale_age=0)
 
 

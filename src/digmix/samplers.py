@@ -175,6 +175,19 @@ def run_chain(dataset: Dataset, K: int, prior: PriorSpec, config: SamplerConfig,
     is_dig = config.method == DIG
     is_ssg = config.method == SSG
 
+    # Buffers reused by every iteration: the full (n, K) pass of SSG's sweep
+    # and DIG's refresh reads x * x computed once, and the m-row update
+    # squares its own gathered rows.
+    if is_ssg or is_dig:
+        xsq = x * x
+        full = np.empty((n, K))
+        full_work = np.empty((n, K))
+    if not is_ssg:
+        x_sel = np.empty((m, dataset.d))
+        x_sel_sq = np.empty((m, dataset.d))
+        sel_logp = np.empty((m, K))
+        sel_work = np.empty((m, K))
+
     if is_dig:
         s = transition_point(n, K, m)
         schedule = WeightSchedule(s=s, a=config.tanh_a)
@@ -187,6 +200,7 @@ def run_chain(dataset: Dataset, K: int, prior: PriorSpec, config: SamplerConfig,
         resp = None          # bootstrapped at t = 1 via refresh_due
         cur_ess = np.nan
         idx_n = np.arange(n)
+        idx_m = np.arange(m)
         d_buf = np.empty(n)
     else:
         s = None
@@ -219,20 +233,21 @@ def run_chain(dataset: Dataset, K: int, prior: PriorSpec, config: SamplerConfig,
         update = not is_ssg and (t - 1) % epoch != 0
 
         if is_ssg:
-            P = _normalise_rows(log_density_matrix(x, state))
+            P = _normalise_rows(log_density_matrix(x, state, out=full, xsq=xsq, work=full_work))
             state.z = sample_allocations_rows(P, rng)
             draws += n
         else:
             if is_dig:
                 adaptive.t = t
                 if refresh_due(t, T) or resp is None:
-                    resp = refresh_responsibilities(dataset, state)
+                    resp = refresh_responsibilities(dataset, state, out=full, xsq=xsq, work=full_work)
+                    # Assigned probabilities p_{i,z_i}; between refreshes only
+                    # the m updated rows change, and they are overwritten below.
                     p_assigned = resp.p[idx_n, state.z]
                     lambda_schedule(adaptive, p_assigned, m)
                     cur_ess = ess(p_assigned, adaptive.lam)
                 else:
                     resp.stale_age += 1
-                    p_assigned = resp.p[idx_n, state.z]
                 f, g = weight_pair(t, schedule)
                 if config.discomfort.kind == "exponential":
                     np.multiply(p_assigned, -adaptive.lam, out=d_buf)
@@ -249,7 +264,10 @@ def run_chain(dataset: Dataset, K: int, prior: PriorSpec, config: SamplerConfig,
                 idx = sample_without_replacement(alpha_raw, m, rng)
             else:
                 idx = rng.integers(0, n, m)
-            rows = _normalise_rows(log_density_matrix(x[idx], state))
+            np.take(x, idx, axis=0, out=x_sel)
+            np.multiply(x_sel, x_sel, out=x_sel_sq)
+            rows = _normalise_rows(log_density_matrix(x_sel, state, out=sel_logp, xsq=x_sel_sq,
+                                                      work=sel_work))
             new_z = sample_allocations_rows(rows, rng)
             if update:
                 # RSG's duplicate indices resolve to the last draw; each
@@ -259,6 +277,7 @@ def run_chain(dataset: Dataset, K: int, prior: PriorSpec, config: SamplerConfig,
             state.z[idx] = new_z
             if is_dig:
                 resp.p[idx] = rows    # piggyback: selected rows are fresh
+                p_assigned[idx] = rows[idx_m, new_z]
             draws += m
 
         if update:

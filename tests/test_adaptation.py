@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from digmix.adaptation import (
     AdaptiveState,
@@ -125,6 +126,68 @@ def test_solve_lambda_randomized_residuals():
         assert 1.0 <= lam <= 100.0
         if 1.0 < lam < 100.0:
             assert abs(ess(p, lam) - m) <= 1e-6 * n
+
+
+def solve_lambda_grid_brentq(p, m, Lambda):
+    """The earlier solver, kept as the oracle: a lazy 17-point grid scan
+    brackets the first sign change of ESS - m, refined by Brent's method."""
+    p = np.asarray(p, dtype=float)
+    n = p.size
+    tol = 1e-6 * n
+    q = p - p.min()
+
+    def f(lam):
+        w = np.exp(-lam * q)
+        return w.sum() ** 2 / np.sum(w * w) - m
+
+    f_lo = f(1.0)
+    if f_lo <= 0:
+        return 1.0
+    if f(Lambda) > 0:
+        return Lambda
+    grid = np.linspace(1.0, Lambda, 17)
+    vals = [f_lo]
+    bracket = None
+    for i in range(1, len(grid)):
+        if abs(vals[i - 1]) <= tol:
+            return float(grid[i - 1])
+        fi = f(grid[i])
+        vals.append(fi)
+        if vals[i - 1] > 0 >= fi:
+            if fi == 0.0:
+                return float(grid[i])
+            bracket = (grid[i - 1], grid[i])
+            break
+    if bracket is None:
+        return float(grid[int(np.argmin(np.abs(vals)))])
+    return float(brentq(f, bracket[0], bracket[1], xtol=1e-12))
+
+
+# Starting points of the Newton solve: inside [1, Lambda], outside it, at its ends.
+LAMBDA_STARTS = {
+    "inside": lambda rng, Lambda: rng.uniform(1.0, Lambda),
+    "below": lambda rng, Lambda: rng.uniform(-50.0, 1.0),
+    "above": lambda rng, Lambda: rng.uniform(Lambda, 10 * Lambda),
+    "one": lambda rng, Lambda: 1.0,
+    "Lambda": lambda rng, Lambda: Lambda,
+}
+
+
+@pytest.mark.parametrize("seed,start", enumerate(LAMBDA_STARTS))
+def test_solve_lambda_newton_matches_grid_brentq(seed, start):
+    rng = np.random.default_rng(seed)
+    outcomes = {"one": 0, "Lambda": 0, "interior": 0}
+    for trial in range(300):
+        n = int(rng.integers(10, 5001))
+        p = (rng.random(n), rng.beta(0.3, 0.3, n), rng.beta(5.0, 1.0, n))[trial % 3]
+        m = float(rng.uniform(1.0, n))
+        Lambda = float(rng.choice([5.0, 20.0, 100.0]))
+        lam0 = LAMBDA_STARTS[start](rng, Lambda)
+        expect = solve_lambda_grid_brentq(p, m, Lambda)
+        got = solve_lambda(p, m, Lambda, lam0)
+        assert got == pytest.approx(expect, rel=1e-9, abs=0.0), (n, m, Lambda, lam0)
+        outcomes["one" if expect == 1.0 else "Lambda" if expect == Lambda else "interior"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
 
 
 def test_lambda_schedule_phases():

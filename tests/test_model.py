@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from digmix.model import (
     Dataset,
@@ -17,6 +17,7 @@ from digmix.model import (
     refresh_responsibilities,
     responsibilities_row,
     sample_allocation,
+    sample_allocations_rows,
     sample_component_params,
     sample_mixture_weights,
 )
@@ -89,6 +90,47 @@ def test_responsibility_rows_normalised(seed):
     assert resp.p.shape == (n, K)
     assert np.all(resp.p >= 0)
     np.testing.assert_allclose(resp.p.sum(axis=1), 1.0, atol=1e-12)
+
+
+def floor_problem():
+    """Rows whose log-density gaps reach the subnormal band of exp and beyond.
+
+    Unit variances, x in [-0.5, 0.5]: the components at 0 and 1 lie within a
+    gap of 1.2 of the row maximum; those at 37.7 to 38.5 lie 691-761 below
+    it, many in the band -708 to -745 where exp is subnormal, and those at
+    39, 45, 100 and -60 lie up to 5000 below it, where exp is zero.
+    """
+    mu = np.array([0.0, 1.0, 37.7, 38.0, 38.5, 39.0, 45.0, 100.0, -60.0])
+    K = mu.size
+    rng = np.random.default_rng(0)
+    x = np.concatenate([np.linspace(-0.5, 0.5, 11), rng.uniform(-0.5, 0.5, 2000)])[:, None]
+    state = make_state(z=np.zeros(x.shape[0], dtype=int), pi=np.full(K, 1.0 / K),
+                       mu=mu[:, None], sigma2=np.ones((K, 1)))
+    return Dataset(x=x), state
+
+
+def test_floored_responsibilities_match_logsumexp():
+    data, state = floor_problem()
+    logp = log_density_matrix(data.x, state)
+    gaps = logp.max(axis=1, keepdims=True) - logp
+    assert np.count_nonzero((gaps > 708) & (gaps < 745)) > 1000
+    assert np.count_nonzero(gaps > 745) > 1000
+    ref = np.exp(logp - special.logsumexp(logp, axis=1, keepdims=True))
+    p = refresh_responsibilities(data, state).p
+    big = ref > 1e-300
+    np.testing.assert_allclose(p[big], ref[big], rtol=1e-15, atol=0.0)
+    assert np.all(p[~big] <= 1e-300)
+
+
+def test_floored_components_never_drawn():
+    data, state = floor_problem()
+    p = refresh_responsibilities(data, state).p
+    floored = p < 1e-300
+    rng = np.random.default_rng(1)
+    for _ in range(10):
+        rows = rng.integers(0, p.shape[0], 100_000)
+        draws = sample_allocations_rows(p[rows], rng)
+        assert not np.any(floored[rows, draws])
 
 
 def test_complete_log_likelihood_matches_sum():

@@ -1,7 +1,11 @@
 """Chain-runner tests: selection sampling, trace invariants, determinism."""
 
+import sys
+
 import numpy as np
 import pytest
+
+from digmix import samplers
 
 from digmix.adaptation import DiscomfortConfig
 from digmix.datagen import gen_miller_harrison
@@ -217,3 +221,32 @@ def test_rsg_only_touches_selected_indices():
         cur = tr.snapshots[t]
         assert np.sum(cur != prev) <= 1
         prev = cur
+
+
+# ---------------------------------------------------------------- incremental assigned probabilities
+
+@pytest.mark.parametrize("m", [10, 100])
+def test_dig_assigned_probabilities_match_gather(monkeypatch, m):
+    """DIG keeps p_{i,z_i} as a vector overwritten on the m updated rows; at
+    every iteration it must equal the gather from the chain's own
+    responsibility matrix, bit for bit.  ``weight_pair`` is called right
+    before the discomfort step (and again in the untimed bookkeeping), so a
+    wrapper on it reads the chain's locals at that point."""
+    ds, prior = small_problem(n=200)
+    real_weight_pair = samplers.weight_pair
+    checked = [0]
+
+    def spy(t, schedule):
+        chain = sys._getframe(1).f_locals
+        p_row = chain["resp"].p
+        expect = p_row[np.arange(p_row.shape[0]), chain["state"].z]
+        assert chain["p_assigned"].tobytes() == expect.tobytes(), f"iteration {t}"
+        checked[0] += 1
+        return real_weight_pair(t, schedule)
+
+    monkeypatch.setattr(samplers, "weight_pair", spy)
+    T = 2000
+    for cll_mode in ("state", "running"):
+        run_chain(ds, 3, prior, SamplerConfig(method=DIG, T=T, m=m, seed=3, snapshot_every=0,
+                                              cll_mode=cll_mode))
+    assert checked[0] == 2 * 2 * T
