@@ -33,6 +33,8 @@ from digmix.model import (
 )
 from digmix.samplers import DIG, RSG, SSG, SamplerConfig, run_chain
 
+pytestmark = pytest.mark.slow
+
 T = 5000
 REPLICAS = 20
 TAIL = 1000

@@ -2,12 +2,16 @@
 
 import csv
 import filecmp
+import hashlib
+import io
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from digmix import cli
 from digmix.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -20,6 +24,7 @@ from digmix.cli import (
     run_experiment,
     spec_from_args,
 )
+from digmix.diagnostics import posterior_similarity_matrix
 
 
 def read_kv(path):
@@ -102,6 +107,17 @@ def test_spec_validation_errors():
         ExperimentSpec(data="csv").validate()
     with pytest.raises(ValueError):
         tiny_spec("o", data="nope").validate()
+    for family, least in [("miller", 3), ("motivating5", 5), ("misspec4", 4)]:
+        with pytest.raises(ValueError, match=f"--n >= {least}"):
+            tiny_spec("o", data=family, n=least - 1, m=1).validate()
+        tiny_spec("o", data=family, n=least, m=1).validate()
+    with pytest.raises(ValueError, match="--d"):
+        tiny_spec("o", d=0).validate()
+    with pytest.raises(ValueError, match="--snapshot-every"):
+        tiny_spec("o", snapshot_every=-5).validate()
+    with pytest.raises(ValueError, match="--threads"):
+        tiny_spec("o", threads=-1).validate()
+    tiny_spec("o", snapshot_every=0, threads=0).validate()
 
 
 # ---------------------------------------------------------------- experiment artifacts
@@ -158,6 +174,136 @@ def test_experiment_deterministic_reruns(tmp_path):
                 np.testing.assert_array_equal(ta[col], tb[col])
         else:
             assert filecmp.cmp(a, b, shallow=False), name
+
+
+def test_only_first_replica_keeps_snapshots(tmp_path, monkeypatch):
+    traces = []
+    run_job = cli._run_job
+
+    def keep(args):
+        traces.append((args[3].seed, run_job(args)))
+        return traces[-1][1]
+
+    monkeypatch.setattr(cli, "_run_job", keep)
+    assert run_experiment(tiny_spec(tmp_path / "out", replicas=3)) == EXIT_OK
+    assert len(traces) == 6
+    for seed, tr in traces:
+        assert bool(tr.snapshots) == (seed == 0)
+        assert bool(tr.alpha_snapshots) == (seed == 0 and tr.method == "DIG")
+
+
+# Digests of the files written by GOLDEN_ARGS, recorded before replicas >= 1
+# stopped taking snapshots and before the PSM writer stopped calling savetxt.
+# Trace files are hashed without their wall_ns column.
+GOLDEN_ARGS = ["--n", "300", "--iters", "200", "--window", "50", "--replicas", "2", "--threads", "1"]
+GOLDEN_DIGESTS = {
+    "alpha_gap.csv": "a3c2705592663c6dfc811f523957e3cac603326050411dc81c616de48fae2351",
+    "psm_dig_00.csv": "40ca7a3ff7a1d1229c1b08d4827ed33f9b1111411070b8768de602a980a5fcc4",
+    "psm_rsg_00.csv": "bb5206a9f6fb221904bfd6de5f70f5f0967adeeb7d89421c63bcbe0a98de442e",
+    "psm_ssg_00.csv": "357d0177b5884992d018fc6f62858e9f43030b2ea82a5abef5f92e50a16fd8e8",
+    "trace_dig_00.csv": "67b6da0ff43dbeef02b099892553aebc67b9ffd9464e10185bc6db8ce87eacd1",
+    "trace_dig_01.csv": "4a6ca34e92754bce1da597b103ff7b18cb454b04ad5ead18f899ace3e4e5d859",
+    "trace_rsg_00.csv": "74aa2fd79b8c8d47417f00833f599dbcc46b0e4695636d93f14f14beb15f05d1",
+    "trace_rsg_01.csv": "e99be8428b339ba99481c54678f1a73f13e3445c6c02ef99172fc14a94a259b6",
+    "trace_ssg_00.csv": "c189db945420f93a3d1f7023838b4abea4477b7ac216f92258a2be911452818e",
+    "trace_ssg_01.csv": "b1fb0c3f6cfa7898a4132d8b7d75ff55880a9fbf3e61d3e5d7e3007282892e82",
+}
+
+
+def test_golden_output_digests(tmp_path):
+    out = tmp_path / "run"
+    assert main([*GOLDEN_ARGS, "--out-dir", str(out)]) == EXIT_OK
+    digests = {}
+    for p in sorted(out.iterdir()):
+        if p.name.startswith("summary_"):
+            continue        # holds wall-clock seconds
+        data = p.read_bytes()
+        if p.name.startswith("trace_"):
+            lines = data.decode().splitlines(keepends=True)
+            data = "".join(",".join(c for i, c in enumerate(line.split(",")) if i != 1)
+                           for line in lines).encode()
+        digests[p.name] = hashlib.sha256(data).hexdigest()
+    assert digests == GOLDEN_DIGESTS
+
+
+def random_psm(n, K, S, seed=0):
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, K, n)
+    snaps = []
+    for _ in range(S):
+        z = base.copy()
+        moved = rng.random(n) < 0.3
+        z[moved] = rng.integers(0, K, moved.sum())
+        snaps.append(z)
+    return posterior_similarity_matrix(snaps)
+
+
+@pytest.mark.parametrize("n,K,S", [(1, 1, 1), (5, 2, 1), (37, 3, 7), (200, 20, 60), (1500, 3, 60)])
+def test_write_matrix_matches_savetxt(tmp_path, n, K, S):
+    psm = random_psm(n, K, S)
+    buf = io.BytesIO()
+    np.savetxt(buf, psm, delimiter=",", fmt="%.6g")
+    path = tmp_path / "psm.csv"
+    cli._write_matrix(path, psm, S)
+    assert path.read_bytes() == buf.getvalue()
+    assert [p.name for p in tmp_path.iterdir()] == ["psm.csv"]
+
+
+def test_write_matrix_peak_memory(tmp_path):
+    psm = random_psm(1500, 3, 60)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        cli._write_matrix(tmp_path / "psm.csv", psm, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < psm.nbytes / 4
+
+
+def test_write_matrix_rejects_values_off_the_grid(tmp_path):
+    psm = random_psm(300, 3, 7)
+    psm[250, 3] = 0.5           # not k/7, in the second block of rows
+    with pytest.raises(ValueError, match="k/7"):
+        cli._write_matrix(tmp_path / "psm.csv", psm, 7)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("target", ["trace_dig_01.csv", "summary_ssg.csv", "psm_dig_00.csv",
+                                    "alpha_gap.csv"])
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, target):
+    partial = []
+
+    class HalfWritten:
+        """Writes half of the first chunk it is given, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            partial.append(os.path.getsize(self.fh.name))
+            raise OSError("no space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def failing_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return HalfWritten(fh) if Path(path).name.startswith(f".{target}.") else fh
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match="no space"):
+        run_experiment(tiny_spec(out, methods=["SSG", "RSG", "DIG"]))
+    assert partial and partial[0] > 0
+    names = [p.name for p in out.iterdir()]
+    assert target not in names
+    assert not [name for name in names if name.startswith(".") or name.endswith(".tmp")]
 
 
 def test_single_replica_single_method(tmp_path):
@@ -242,6 +388,24 @@ def test_main_rejects_window_above_iters(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--window" in err and "--iters" in err
     assert not out.exists() or not any(out.glob("trace_*.csv"))
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--n", "0"], "--n >= 3"),
+    (["--n", "2"], "--n >= 3"),
+    (["--data", "motivating5", "--n", "4"], "--n >= 5"),
+    (["--data", "misspec4", "--n", "3"], "--n >= 4"),
+    (["--d", "0"], "--d >= 1"),
+    (["--snapshot-every", "-5"], "--snapshot-every >= 0"),
+    (["--threads", "-1"], "--threads >= 0"),
+], ids=["n0", "miller-n2", "motivating5-n4", "misspec4-n3", "d0", "snapshot-every", "threads"])
+def test_main_rejects_bad_sizes(tmp_path, capsys, flags, message):
+    out = tmp_path / "run"
+    base = ["--n", "60", "--m", "1", "--iters", "60", "--window", "20", "--replicas", "1",
+            "--threads", "1", "--out-dir", str(out)]
+    assert main([*base, *flags]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("m", [0, 500])
