@@ -10,14 +10,12 @@ Three allocation samplers over a shared diagonal-covariance mixture model:
 
 from .adaptation import (
     AdaptiveState,
-    DiscomfortConfig,
     WeightSchedule,
     discomfort,
     ess,
     lambda_schedule,
     solve_lambda,
     transition_point,
-    update_selection_weights,
     weight_pair,
 )
 from .cli import ExperimentSpec, default_m, main, run_experiment
@@ -52,8 +50,6 @@ from .model import (
     log_component_density,
     log_density_matrix,
     refresh_responsibilities,
-    responsibilities_row,
-    sample_allocation,
     sample_component_params,
     sample_mixture_weights,
 )
@@ -65,9 +61,6 @@ from .samplers import (
     SamplerConfig,
     init_state,
     run_chain,
-    run_dig,
-    run_rsg,
-    run_ssg,
     sample_without_replacement,
 )
 
@@ -75,18 +68,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptiveState", "ChainTrace", "ConvergenceReport", "CsvError", "DIG",
-    "Dataset", "DiscomfortConfig", "ExperimentSpec", "MixtureState",
-    "NonNumericCellError", "PriorSpec", "RSG", "RaggedRowsError", "SSG",
-    "SamplerConfig", "WeightSchedule", "adjusted_rand_index",
-    "alpha_limit_check", "complete_log_likelihood", "default_m", "discomfort",
+    "Dataset", "ExperimentSpec", "MixtureState", "NonNumericCellError",
+    "PriorSpec", "RSG", "RaggedRowsError", "SSG", "SamplerConfig",
+    "WeightSchedule", "adjusted_rand_index", "alpha_limit_check",
+    "complete_log_likelihood", "default_m", "discomfort",
     "empirical_bayes_hyperparams", "epochs", "ess", "gen_miller_harrison",
     "gen_misspec4", "gen_motivating5", "init_state", "lambda_schedule",
     "load_csv", "log_component_density", "log_density_matrix", "main",
     "mode_allocation", "occupied_components", "posterior_similarity_matrix",
-    "refresh_responsibilities", "responsibilities_row", "run_chain", "run_dig",
-    "run_experiment", "run_rsg", "run_ssg", "sample_allocation",
+    "refresh_responsibilities", "run_chain", "run_experiment",
     "sample_component_params", "sample_mixture_weights",
     "sample_without_replacement", "solve_lambda", "ssg_reference",
-    "standardize", "time_to_converge", "transition_point",
-    "unstandardize", "update_selection_weights", "weight_pair",
+    "standardize", "time_to_converge", "transition_point", "unstandardize",
+    "weight_pair",
 ]

@@ -9,54 +9,18 @@ phase, and polynomial weights taking over after the transition point s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # Standard normal 99% quantile, fixed for bit-reproducibility.
 Z_99 = 2.326348
 
-_KINDS = {"exponential", "generalized_entropy", "partial_entropy", "pareto", "weibull", "hyperbolic"}
-
-
-@dataclass
-class DiscomfortConfig:
-    """Which discomfort function drives selection; exponential is the default.
-
-    The alternatives are selectable for experimentation; the adaptive sampler
-    itself uses the exponential kind unless told otherwise, flooring any
-    non-positive values at 1e-12 when an alternative drives selection.
-    """
-
-    kind: str = "exponential"
-    q: float | None = None           # generalized/partial entropy
-    p_m: float | None = None         # pareto scale
-    shape: float | None = None       # pareto / weibull shape
-    scale: float | None = None       # weibull scale
-    exponent: float | None = None    # hyperbolic exponent
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown discomfort kind: {self.kind}")
-        if self.kind in ("generalized_entropy", "partial_entropy"):
-            if self.q is None or self.q < 0 or self.q == 1:
-                raise ValueError("entropy kinds need q >= 0, q != 1")
-        if self.kind == "pareto":
-            if self.p_m is None or not 0 < self.p_m < 1 or self.shape is None or self.shape <= 0:
-                raise ValueError("pareto needs p_m in (0,1) and shape > 0")
-        if self.kind == "weibull":
-            if self.scale is None or self.scale <= 0 or self.shape is None or self.shape <= 0:
-                raise ValueError("weibull needs scale > 0 and shape > 0")
-        if self.kind == "hyperbolic":
-            if self.exponent is None or self.exponent <= 0:
-                raise ValueError("hyperbolic needs exponent > 0")
-
 
 @dataclass
 class AdaptiveState:
-    """Per-chain adaptation variables: selection weights, lambda, counters."""
+    """Per-chain adaptation variables: lambda, its bounds and the refresh counters."""
 
-    alpha: np.ndarray
     lam: float
     Lambda: float = 100.0
     s: int = 1
@@ -65,9 +29,6 @@ class AdaptiveState:
     refresh_count: int = 0
 
     def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        if abs(self.alpha.sum() - 1.0) > 1e-10 or np.any(self.alpha <= 0):
-            raise ValueError("alpha must be a strictly positive simplex vector")
         if not 1.0 <= self.lam <= self.Lambda:
             raise ValueError("lambda must lie in [1, Lambda]")
 
@@ -84,38 +45,12 @@ class WeightSchedule:
             raise ValueError("need a > 0 and s >= 1")
 
 
-def discomfort(p_assigned, lam: float, config: DiscomfortConfig | None = None, p_row=None):
-    """Discomfort score of an observation given its assignment probability.
-
-    Vectorised over ``p_assigned``.  ``p_row`` (full probability rows) is only
-    needed by the generalized-entropy kind.
-    """
-    config = config or DiscomfortConfig()
+def discomfort(p_assigned, lam: float):
+    """Exponential discomfort exp(-lam * p) of observations given their assignment probabilities."""
     p = np.asarray(p_assigned, dtype=float)
     if np.any(p < 0) or np.any(p > 1):
         raise ValueError("assignment probability outside [0, 1]")
-    kind = config.kind
-    if kind == "exponential":
-        return np.exp(-lam * p)
-    if kind == "generalized_entropy":
-        if p_row is None:
-            raise ValueError("generalized_entropy needs the full probability row(s)")
-        rows = np.atleast_2d(np.asarray(p_row, dtype=float))
-        return (1.0 - np.sum(rows ** config.q, axis=-1)) / (config.q - 1.0)
-    if kind == "partial_entropy":
-        return (1.0 - p ** config.q) / (config.q - 1.0)
-    if kind == "pareto":
-        with np.errstate(divide="ignore"):
-            dense = config.shape * config.p_m ** config.shape / p ** (config.shape + 1.0)
-        return np.where(p >= config.p_m, dense, 0.0)
-    if kind == "weibull":
-        r = p / config.scale
-        k = config.shape
-        with np.errstate(divide="ignore"):
-            return (k / config.scale) * r ** (k - 1.0) * np.exp(-(r ** k))
-    # hyperbolic
-    with np.errstate(divide="ignore"):
-        return (1.0 / p) ** config.exponent
+    return np.exp(-lam * p)
 
 
 def ess(p_assigned_vec, lam: float) -> float:
@@ -248,15 +183,6 @@ def transition_point(n: int, K: int, m: float, quantile_z: float = Z_99) -> int:
         raise ValueError("need 1 <= m <= n")
     raw = (n * (K - 1) + math.sqrt(n * K * (K - 1)) * quantile_z) / m
     return max(1, math.ceil(raw))
-
-
-def update_selection_weights(alpha_prev, discomfort_vec, f: float, g: float) -> np.ndarray:
-    """Convex combination of previous weights and discomfort, renormalised."""
-    alpha = f * np.asarray(alpha_prev, dtype=float) + g * np.asarray(discomfort_vec, dtype=float)
-    total = alpha.sum()
-    if total <= 0:
-        raise ValueError("selection weights collapsed to zero")
-    return alpha / total
 
 
 def refresh_due(t: int, T: int) -> bool:

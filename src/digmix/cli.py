@@ -391,43 +391,60 @@ def run_experiment(spec: ExperimentSpec) -> int:
     return EXIT_OK
 
 
-def _env_default(name: str, fallback, cast):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    return cast(raw)
+class _EnvParser(argparse.ArgumentParser):
+    """Reads each ``--flag`` also from ``DIGMIX_FLAG``, parsed as that flag given ahead
+    of the command line: the value gets the flag's type and choices checks, and the
+    flag on the command line overrides it."""
+
+    env_var = None        # the variable being parsed, named in its error
+
+    def parse_known_args(self, args=None, namespace=None):
+        try:
+            for action in self._actions:
+                var = ENV_PREFIX + action.dest.upper()
+                if action.dest != "help" and var in os.environ:
+                    self.env_var = var
+                    token = f"{action.option_strings[-1]}={os.environ[var]}"
+                    namespace, _ = super().parse_known_args([token], namespace)
+        finally:
+            self.env_var = None
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        super().error(f"{self.env_var}: {message}" if self.env_var else message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _EnvParser(
         prog="digmix",
         description="Run replicated Gibbs-sampler experiments on mixture benchmarks.",
     )
     a = p.add_argument
-    a("--data", choices=_FAMILIES, default=_env_default("DATA", "miller", str))
-    a("--csv-path", default=_env_default("CSV_PATH", None, str))
-    a("--label-col", default=_env_default("LABEL_COL", None, str))
-    a("--n", type=int, default=_env_default("N", 1000, int))
-    a("--d", type=int, default=_env_default("D", 2, int))
-    a("--k-fit", type=int, default=_env_default("K_FIT", None, int))
-    a("--methods", default=_env_default("METHODS", "ssg,rsg,dig", str))
-    a("--replicas", type=int, default=_env_default("REPLICAS", 20, int))
-    a("--iters", type=int, default=_env_default("ITERS", 5000, int))
-    a("--m", type=int, default=_env_default("M", None, int))
-    a("--lambda-max", type=float, default=_env_default("LAMBDA_MAX", 100.0, float))
-    a("--tanh-a", type=float, default=_env_default("TANH_A", 1.0, float))
-    a("--seed", type=int, default=_env_default("SEED", 0, int))
-    a("--data-seed", type=int, default=_env_default("DATA_SEED", None, int))
-    a("--window", type=int, default=_env_default("WINDOW", 1000, int))
-    a("--snapshot-every", type=int, default=_env_default("SNAPSHOT_EVERY", 10, int))
-    a("--out-dir", default=_env_default("OUT_DIR", "out", str))
-    a("--threads", type=int, default=_env_default("THREADS", None, int))
-    a("--standardize", choices=["on", "off"], default=_env_default("STANDARDIZE", None, str))
-    a("--cll-mode", choices=["running", "state"], default=_env_default("CLL_MODE", "running", str))
+    a("--data", choices=_FAMILIES, default="miller")
+    a("--csv-path")
+    a("--label-col")
+    a("--n", type=int, default=1000)
+    a("--d", type=int, default=2)
+    a("--k-fit", type=int)
+    a("--methods", default="ssg,rsg,dig")
+    a("--replicas", type=int, default=20)
+    a("--iters", type=int, default=5000)
+    a("--m", type=int)
+    a("--lambda-max", type=float, default=100.0)
+    a("--tanh-a", type=float, default=1.0)
+    a("--seed", type=int, default=0)
+    a("--data-seed", type=int)
+    a("--window", type=int, default=1000)
+    a("--snapshot-every", type=int, default=10)
+    a("--out-dir", default="out")
+    a("--threads", type=int)
+    a("--standardize", choices=["on", "off"])
+    a("--cll-mode", choices=["running", "state"], default="running")
     return p
 
 
 def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
+    """The spec of parsed flags; each flag's destination names its spec field."""
     label_col: str | int | None = args.label_col
     if isinstance(label_col, str) and label_col.lstrip("-").isdigit():
         label_col = int(label_col)
@@ -439,28 +456,9 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         if name not in _METHOD_NAMES:
             raise ValueError(f"unknown method: {name}")
         methods.append(_METHOD_NAMES[name])
-    return ExperimentSpec(
-        data=args.data,
-        csv_path=args.csv_path,
-        label_col=label_col,
-        n=args.n,
-        d=args.d,
-        k_fit=args.k_fit,
-        methods=methods,
-        replicas=args.replicas,
-        iters=args.iters,
-        m=args.m,
-        lambda_max=args.lambda_max,
-        tanh_a=args.tanh_a,
-        seed=args.seed,
-        data_seed=args.data_seed,
-        window=args.window,
-        snapshot_every=args.snapshot_every,
-        out_dir=args.out_dir,
-        threads=args.threads,
-        standardize=None if args.standardize is None else args.standardize == "on",
-        cll_mode=args.cll_mode,
-    )
+    standardize = None if args.standardize is None else args.standardize == "on"
+    return ExperimentSpec(**{**vars(args), "label_col": label_col, "methods": methods,
+                             "standardize": standardize})
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,9 +149,10 @@ def epochs(iteration, n: int, m: int) -> float:
 def mode_allocation(snapshots) -> np.ndarray:
     """Per-observation modal component over a set of allocation snapshots."""
     snaps = np.stack([np.asarray(z) for z in snapshots])
+    n = snaps.shape[1]
     K = int(snaps.max()) + 1
-    counts = np.stack([(snaps == k).sum(axis=0) for k in range(K)])
-    return counts.argmax(axis=0)
+    counts = np.bincount((snaps + K * np.arange(n)).ravel(), minlength=n * K)
+    return counts.reshape(n, K).argmax(axis=1)
 
 
 def alpha_limit_check(

@@ -15,7 +15,7 @@ sigma2 across dimensions within a component by pooling residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,7 +124,6 @@ class ResponsibilityMatrix:
     """Posterior allocation probabilities, row i = p(z_i = . | pi, mu, sigma2, x_i)."""
 
     p: np.ndarray
-    stale_age: int = 0
 
 
 def log_component_density(x_row, mu_k, sigma2_k) -> float:
@@ -178,22 +177,15 @@ def _normalise_rows(logp: np.ndarray) -> np.ndarray:
     return logp
 
 
-def responsibilities_row(x_row, state: MixtureState) -> np.ndarray:
-    """Posterior allocation probabilities for one observation (log-sum-exp stable)."""
-    x_row = np.atleast_1d(np.asarray(x_row, dtype=float))
-    logp = log_density_matrix(x_row[None, :], state)
-    return _normalise_rows(logp)[0]
-
-
 def refresh_responsibilities(dataset: Dataset, state: MixtureState, out=None, xsq=None,
                              work=None) -> ResponsibilityMatrix:
-    """Full (n, K) recomputation of the responsibility matrix; resets staleness.
+    """Full (n, K) recomputation of the responsibility matrix.
 
     ``out``, ``xsq`` and ``work`` are the buffers of :func:`log_density_matrix`;
     the matrix is written into ``out`` when given.
     """
     logp = log_density_matrix(dataset.x, state, out=out, xsq=xsq, work=work)
-    return ResponsibilityMatrix(p=_normalise_rows(logp), stale_age=0)
+    return ResponsibilityMatrix(p=_normalise_rows(logp))
 
 
 def complete_log_likelihood(dataset: Dataset, state: MixtureState, stats=None) -> float:
@@ -212,19 +204,6 @@ def complete_log_likelihood(dataset: Dataset, state: MixtureState, stats=None) -
     if not np.isfinite(cll):
         raise ValueError("non-finite complete log-likelihood")
     return cll
-
-
-def sample_allocation(i: int, dataset: Dataset, state: MixtureState, rng) -> tuple[int, np.ndarray]:
-    """Draw a new allocation for observation i; also returns the probability row.
-
-    The returned row lets callers overwrite the matching responsibility-matrix
-    row at no extra cost.
-    """
-    if not 0 <= i < dataset.n:
-        raise ValueError("index out of range")
-    row = responsibilities_row(dataset.x[i], state)
-    k = int(np.searchsorted(np.cumsum(row), rng.random(), side="right"))
-    return min(k, state.K - 1), row
 
 
 def sample_allocations_rows(rows: np.ndarray, rng) -> np.ndarray:

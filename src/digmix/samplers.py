@@ -1,9 +1,9 @@
-"""Chain runners: systematic scan, random scan, and discomfort-informed Gibbs.
+"""Chain runner for systematic scan, random scan, and discomfort-informed Gibbs.
 
-All three share the same iteration skeleton (allocations, then mixture
-weights, then component parameters) and the same trace format.  Wall-clock
-accounting covers only the sampling work; likelihood evaluation for the
-trace and snapshot bookkeeping are excluded.
+The methods differ only in their allocation step, built once per chain: SSG
+redraws every row, RSG m uniform rows, DIG m rows drawn by discomfort-driven
+selection weights.  ``run_chain``'s one loop times the step, the statistics
+upkeep and the weight and parameter draws; an untimed recorder keeps the trace.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ import numpy as np
 
 from .adaptation import (
     AdaptiveState,
-    DiscomfortConfig,
     WeightSchedule,
-    discomfort,
     ess,
     lambda_bound_warning,
     lambda_schedule,
@@ -54,11 +52,10 @@ class SamplerConfig:
     Lambda: float = 100.0
     tanh_a: float = 1.0
     seed: int = 0
-    snapshot_every: int = 10
-    discomfort: DiscomfortConfig = field(default_factory=DiscomfortConfig)
-    # When set, the runner accumulates the per-observation mean of
-    # exp(-p_{i,z_i}) over the second half of the run (used as the
-    # Monte Carlo reference for the selection-weight limit check).
+    snapshot_every: int = 10       # 0: no snapshots
+    # SSG only: accumulate the per-observation mean of exp(-p_{i,z_i}) over
+    # the second half of the run (the Monte Carlo reference for the
+    # selection-weight limit check).
     collect_discomfort_reference: bool = False
     # "running": trace CLL uses ergodic averages of (pi, mu, sigma2) up to t
     # (the benchmark definition); "state": uses the current draws.
@@ -71,6 +68,10 @@ class SamplerConfig:
             raise ValueError(f"unknown method: {self.method}")
         if self.cll_mode not in ("running", "state"):
             raise ValueError(f"unknown cll_mode: {self.cll_mode}")
+        if self.snapshot_every < 0:
+            raise ValueError("need snapshot_every >= 0")
+        if self.collect_discomfort_reference and self.method != SSG:
+            raise ValueError("only SSG collects the discomfort reference")
 
 
 @dataclass
@@ -148,228 +149,222 @@ def _resolve_m(config: SamplerConfig, n: int) -> int:
     return config.m
 
 
+class _SystematicScan:
+    """SSG's allocation step: every row redrawn from one full (n, K) pass.
+
+    The pass reads ``x * x`` computed once and leaves the probabilities in
+    the buffer ``P``; it returns no moved rows, so the statistics are recomputed.
+    """
+
+    def __init__(self, dataset: Dataset, K: int, m: int, config: SamplerConfig):
+        self.x, self.xsq = dataset.x, dataset.x * dataset.x
+        self.P = np.empty((dataset.n, K))
+        self.work = np.empty((dataset.n, K))
+
+    def __call__(self, t: int, state: MixtureState, rng):
+        _normalise_rows(log_density_matrix(self.x, state, out=self.P, xsq=self.xsq, work=self.work))
+        state.z = sample_allocations_rows(self.P, rng)
+
+
+class _RandomScan:
+    """RSG's allocation step: m rows drawn uniformly with replacement and redrawn.
+
+    Returns the moved rows as ``(x rows, old z, new z)``, each row once, for
+    the statistics update.  The m-row pass squares its own gathered rows.
+    """
+
+    def __init__(self, dataset: Dataset, K: int, m: int, config: SamplerConfig):
+        self.x, self.n, self.m = dataset.x, dataset.n, m
+        self.x_sel = np.empty((m, dataset.d))
+        self.x_sel_sq = np.empty((m, dataset.d))
+        self.sel_logp = np.empty((m, K))
+        self.sel_work = np.empty((m, K))
+
+    def select(self, t: int, state: MixtureState, rng):
+        """The rows to redraw, and each changed row once, in the order the statistics take them."""
+        idx = rng.integers(0, self.n, self.m)
+        # Duplicate indices resolve to the last draw.
+        return idx, np.unique(idx)
+
+    def __call__(self, t: int, state: MixtureState, rng):
+        idx, changed = self.select(t, state, rng)
+        np.take(self.x, idx, axis=0, out=self.x_sel)
+        np.multiply(self.x_sel, self.x_sel, out=self.x_sel_sq)
+        rows = _normalise_rows(log_density_matrix(self.x_sel, state, out=self.sel_logp, xsq=self.x_sel_sq,
+                                                  work=self.sel_work))
+        new_z = sample_allocations_rows(rows, rng)
+        z_old = state.z[changed]
+        state.z[idx] = new_z
+        self.redrawn(idx, rows, new_z)
+        return self.x[changed], z_old, state.z[changed]
+
+    def redrawn(self, idx: np.ndarray, rows: np.ndarray, new_z: np.ndarray):
+        """Sees each redrawn row's fresh probabilities; RSG keeps nothing of them."""
+
+
+class _AdaptiveScan(_RandomScan):
+    """DIG's allocation step: m distinct rows drawn by their selection weights.
+
+    The weights follow alpha <- f alpha + g exp(-lambda p) on the
+    unnormalised vector ``alpha_raw``; normalising inside the recursion would
+    rescale the discomfort term by its sum (~n/2) and keep the effective
+    adaptation step large long after g has decayed, so adaptation would never
+    actually diminish.  ``p_assigned`` holds p_{i,z_i}: gathered from the
+    responsibility matrix at each refresh, then overwritten on the m redrawn
+    rows, whose probability rows are fresh.
+    """
+
+    def __init__(self, dataset: Dataset, K: int, m: int, config: SamplerConfig):
+        super().__init__(dataset, K, m, config)
+        n = dataset.n
+        self.dataset, self.T = dataset, config.T
+        self.s = transition_point(n, K, m)
+        self.schedule = WeightSchedule(s=self.s, a=config.tanh_a)
+        self.adaptive = AdaptiveState(lam=1.0, Lambda=config.Lambda, s=self.s)
+        self.alpha_raw = np.full(n, 1.0 / n)
+        self.resp = None          # bootstrapped at t = 1 via refresh_due
+        self.p_assigned = None
+        self.ess = np.nan
+        self.g = np.nan
+        self.xsq = self.x * self.x
+        self.full = np.empty((n, K))
+        self.full_work = np.empty((n, K))
+        self.idx_n = np.arange(n)
+        self.idx_m = np.arange(m)
+        self.d_buf = np.empty(n)
+
+    def select(self, t: int, state: MixtureState, rng):
+        adaptive = self.adaptive
+        adaptive.t = t
+        if refresh_due(t, self.T) or self.resp is None:
+            self.resp = refresh_responsibilities(self.dataset, state, out=self.full, xsq=self.xsq,
+                                                 work=self.full_work)
+            self.p_assigned = self.resp.p[self.idx_n, state.z]
+            lambda_schedule(adaptive, self.p_assigned, self.m)
+            self.ess = ess(self.p_assigned, adaptive.lam)
+        f, self.g = weight_pair(t, self.schedule)
+        np.multiply(self.p_assigned, -adaptive.lam, out=self.d_buf)
+        np.exp(self.d_buf, out=self.d_buf)
+        self.alpha_raw *= f
+        self.d_buf *= self.g
+        self.alpha_raw += self.d_buf
+        # The race keys are scale-invariant in the weights, so the raw vector
+        # drives selection directly; it is normalised only for snapshots.
+        idx = sample_without_replacement(self.alpha_raw, self.m, rng)
+        return idx, idx
+
+    def redrawn(self, idx: np.ndarray, rows: np.ndarray, new_z: np.ndarray):
+        self.resp.p[idx] = rows
+        self.p_assigned[idx] = rows[self.idx_m, new_z]
+
+
+_STEPS = {SSG: _SystematicScan, RSG: _RandomScan, DIG: _AdaptiveScan}
+
+
+class _Recorder:
+    """The untimed bookkeeping of one chain, called once per iteration.
+
+    It fills the chain's trace: the CLL, occupancy and DIG's lambda, ESS and g
+    columns, the allocation and selection-weight snapshots, and SSG's
+    discomfort reference, the mean of exp(-p_{i,z_i}) over the second half of
+    the run, read from the sweep's own probability matrix.
+    """
+
+    def __init__(self, dataset: Dataset, K: int, m: int, config: SamplerConfig, step, state: MixtureState):
+        T, n, d = config.T, dataset.n, dataset.d
+        self.dataset, self.step, self.config = dataset, step, config
+        self.dig = step if config.method == DIG else None
+        self.trace = ChainTrace(
+            method=config.method, n=n, m=m, iteration=np.arange(1, T + 1),
+            wall_clock_ns=np.empty(T, dtype=np.int64), cll=np.empty(T), lam=np.full(T, np.nan),
+            ess=np.full(T, np.nan), g_weight=np.full(T, np.nan), occupied=np.empty(T, dtype=int),
+            snapshots={}, final_state=state, initial_state=state.copy(), allocation_draws=T * m,
+            s=None if self.dig is None else self.dig.s,
+            discomfort_reference=np.zeros(n) if config.collect_discomfort_reference else None,
+        )
+        self.running = config.cll_mode == "running"
+        if self.running:
+            # Ergodic averages of the parameter blocks, updated each iteration;
+            # the trace CLL plugs these in together with the current allocations.
+            self.sum_pi = np.zeros(K)
+            self.sum_mu = np.zeros((K, d))
+            self.sum_sigma2 = np.zeros((K, d))
+            self.est = MixtureState(z=state.z, pi=np.full(K, 1.0 / K), mu=np.zeros((K, d)),
+                                    sigma2=np.ones((K, d)))
+        self.idx_n = np.arange(n)
+
+    def __call__(self, t: int, state: MixtureState, stats, elapsed: int):
+        tr, i = self.trace, t - 1
+        tr.wall_clock_ns[i] = elapsed
+        if self.running:
+            est = self.est
+            self.sum_pi += state.pi
+            self.sum_mu += state.mu
+            self.sum_sigma2 += state.sigma2
+            est.z = state.z
+            np.divide(self.sum_pi, self.sum_pi.sum(), out=est.pi)
+            np.divide(self.sum_mu, t, out=est.mu)
+            np.divide(self.sum_sigma2, t, out=est.sigma2)
+            tr.cll[i] = complete_log_likelihood(self.dataset, est, stats)
+        else:
+            tr.cll[i] = complete_log_likelihood(self.dataset, state, stats)
+        tr.occupied[i] = np.count_nonzero(stats[0])
+        dig = self.dig
+        if dig is not None:
+            tr.lam[i] = dig.adaptive.lam
+            tr.ess[i] = dig.ess
+            tr.g_weight[i] = dig.g
+        every = self.config.snapshot_every
+        if every and t % every == 0:
+            tr.snapshots[t] = state.z.astype(np.int32)
+            if dig is not None:
+                tr.alpha_snapshots[t] = dig.alpha_raw / dig.alpha_raw.sum()
+        if tr.discomfort_reference is not None and t > self.config.T // 2:
+            tr.discomfort_reference += np.exp(-self.step.P[self.idx_n, state.z])
+            tr.discomfort_reference_count += 1
+
+    def finish(self, clamps: int) -> ChainTrace:
+        tr = self.trace
+        if tr.discomfort_reference is not None:
+            tr.discomfort_reference /= max(tr.discomfort_reference_count, 1)
+        if self.dig is not None:
+            msg = lambda_bound_warning(self.dig.adaptive)
+            if msg:
+                tr.warnings.append(msg)
+        if clamps:
+            tr.warnings.append(f"variance draws clamped at the floor {clamps} time(s)")
+        tr.variance_clamps = clamps
+        return tr
+
+
 def run_chain(dataset: Dataset, K: int, prior: PriorSpec, config: SamplerConfig, rng=None) -> ChainTrace:
     """Run one chain of the configured method and return its trace."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    n, T = dataset.n, config.T
+    n = dataset.n
     m = _resolve_m(config, n)
-    x = dataset.x
-
     state = init_state(dataset, K, prior, rng)
-    initial_state = state.copy()
-
-    iteration = np.arange(1, T + 1)
-    wall = np.empty(T, dtype=np.int64)
-    cll = np.empty(T)
-    lam_tr = np.full(T, np.nan)
-    ess_tr = np.full(T, np.nan)
-    g_tr = np.full(T, np.nan)
-    occupied = np.empty(T, dtype=int)
-    snapshots: dict[int, np.ndarray] = {}
-    alpha_snapshots: dict[int, np.ndarray] = {}
-    warnings: list[str] = []
-    draws = 0
-    clamps = 0
-
-    is_dig = config.method == DIG
-    is_ssg = config.method == SSG
-
-    # Buffers reused by every iteration: the full (n, K) pass of SSG's sweep
-    # and DIG's refresh reads x * x computed once, and the m-row update
-    # squares its own gathered rows.
-    if is_ssg or is_dig:
-        xsq = x * x
-        full = np.empty((n, K))
-        full_work = np.empty((n, K))
-    if not is_ssg:
-        x_sel = np.empty((m, dataset.d))
-        x_sel_sq = np.empty((m, dataset.d))
-        sel_logp = np.empty((m, K))
-        sel_work = np.empty((m, K))
-
-    if is_dig:
-        s = transition_point(n, K, m)
-        schedule = WeightSchedule(s=s, a=config.tanh_a)
-        adaptive = AdaptiveState(alpha=np.full(n, 1.0 / n), lam=1.0, Lambda=config.Lambda, s=s)
-        # The recursion runs on the unnormalised weight vector; normalising
-        # inside the recursion would rescale the discomfort term by its sum
-        # (~n/2) and keep the effective adaptation step large long after g
-        # has decayed, so adaptation would never actually diminish.
-        alpha_raw = np.full(n, 1.0 / n)
-        resp = None          # bootstrapped at t = 1 via refresh_due
-        cur_ess = np.nan
-        idx_n = np.arange(n)
-        idx_m = np.arange(m)
-        d_buf = np.empty(n)
-    else:
-        s = None
-
-    dref_sum = np.zeros(n) if config.collect_discomfort_reference else None
-    dref_count = 0
-    half = T // 2
-
-    running = config.cll_mode == "running"
-    if running:
-        # Ergodic averages of the parameter blocks, updated each iteration;
-        # the trace CLL plugs these in together with the current allocations.
-        sum_pi = np.zeros(K)
-        sum_mu = np.zeros((K, dataset.d))
-        sum_sigma2 = np.zeros((K, dataset.d))
-        est = MixtureState(z=state.z, pi=np.full(K, 1.0 / K), mu=np.zeros((K, dataset.d)),
-                           sigma2=np.ones((K, dataset.d)))
+    step = _STEPS[config.method](dataset, K, m, config)
+    record = _Recorder(dataset, K, m, config, step, state)
 
     # Per-component (counts, sums, sqsums) of the current allocations, shared
-    # by the pi and mu/sigma2 draws, the trace CLL and occupancy.  RSG and
-    # DIG move only the changed rows, with a recompute once per epoch
-    # (ceil(n/m) iterations) to bound rounding drift; at m = n every
-    # iteration is an epoch start.
+    # by the pi and mu/sigma2 draws, the trace CLL and occupancy.  A step that
+    # returns its moved rows has them moved in place, with a recompute once
+    # per epoch (ceil(n/m) iterations) to bound rounding drift; a full sweep
+    # (and every iteration at m = n) recomputes.
     epoch = -(-n // m)
     stats = None
-
-    elapsed = 0
-    for t in range(1, T + 1):
+    elapsed = clamps = 0
+    for t in range(1, config.T + 1):
         tic = time.perf_counter_ns()
-        update = not is_ssg and (t - 1) % epoch != 0
-
-        if is_ssg:
-            P = _normalise_rows(log_density_matrix(x, state, out=full, xsq=xsq, work=full_work))
-            state.z = sample_allocations_rows(P, rng)
-            draws += n
-        else:
-            if is_dig:
-                adaptive.t = t
-                if refresh_due(t, T) or resp is None:
-                    resp = refresh_responsibilities(dataset, state, out=full, xsq=xsq, work=full_work)
-                    # Assigned probabilities p_{i,z_i}; between refreshes only
-                    # the m updated rows change, and they are overwritten below.
-                    p_assigned = resp.p[idx_n, state.z]
-                    lambda_schedule(adaptive, p_assigned, m)
-                    cur_ess = ess(p_assigned, adaptive.lam)
-                else:
-                    resp.stale_age += 1
-                f, g = weight_pair(t, schedule)
-                if config.discomfort.kind == "exponential":
-                    np.multiply(p_assigned, -adaptive.lam, out=d_buf)
-                    np.exp(d_buf, out=d_buf)
-                else:
-                    d_buf = discomfort(p_assigned, adaptive.lam, config.discomfort, p_row=resp.p)
-                    d_buf = np.maximum(d_buf, 1e-12)
-                alpha_raw *= f
-                d_buf *= g
-                alpha_raw += d_buf
-                # The race keys are scale-invariant in the weights, so the raw
-                # vector can drive selection directly; normalisation happens
-                # only in the untimed bookkeeping below.
-                idx = sample_without_replacement(alpha_raw, m, rng)
-            else:
-                idx = rng.integers(0, n, m)
-            np.take(x, idx, axis=0, out=x_sel)
-            np.multiply(x_sel, x_sel, out=x_sel_sq)
-            rows = _normalise_rows(log_density_matrix(x_sel, state, out=sel_logp, xsq=x_sel_sq,
-                                                      work=sel_work))
-            new_z = sample_allocations_rows(rows, rng)
-            if update:
-                # RSG's duplicate indices resolve to the last draw; each
-                # changed row must enter the statistics update once.
-                changed = idx if is_dig else np.unique(idx)
-                z_old = state.z[changed]
-            state.z[idx] = new_z
-            if is_dig:
-                resp.p[idx] = rows    # piggyback: selected rows are fresh
-                p_assigned[idx] = rows[idx_m, new_z]
-            draws += m
-
-        if update:
-            update_sufficient_stats(stats, x[changed], z_old, state.z[changed])
+        moved = step(t, state, rng)
+        if moved is not None and (t - 1) % epoch != 0:
+            update_sufficient_stats(stats, *moved)
         else:
             stats = component_sufficient_stats(dataset, state.z, K)
         state.pi = sample_mixture_weights(state, prior, rng, stats)
         state.mu, state.sigma2, c = sample_component_params(dataset, state, prior, rng, stats)
         clamps += c
-
         elapsed += time.perf_counter_ns() - tic
-
-        # Trace bookkeeping (untimed).
-        wall[t - 1] = elapsed
-        if running:
-            sum_pi += state.pi
-            sum_mu += state.mu
-            sum_sigma2 += state.sigma2
-            est.z = state.z
-            np.divide(sum_pi, sum_pi.sum(), out=est.pi)
-            np.divide(sum_mu, t, out=est.mu)
-            np.divide(sum_sigma2, t, out=est.sigma2)
-            cll[t - 1] = complete_log_likelihood(dataset, est, stats)
-        else:
-            cll[t - 1] = complete_log_likelihood(dataset, state, stats)
-        occupied[t - 1] = np.count_nonzero(stats[0])
-        if is_dig:
-            lam_tr[t - 1] = adaptive.lam
-            ess_tr[t - 1] = cur_ess
-            g_tr[t - 1] = weight_pair(t, schedule)[1]
-        if config.snapshot_every and t % config.snapshot_every == 0:
-            snapshots[t] = state.z.astype(np.int32).copy()
-            if is_dig:
-                adaptive.alpha = alpha_raw / alpha_raw.sum()
-                alpha_snapshots[t] = adaptive.alpha
-        if dref_sum is not None and t > half:
-            if is_ssg:
-                p_now = P[np.arange(n), state.z]
-            else:
-                p_now = _normalise_rows(log_density_matrix(x, state))[np.arange(n), state.z]
-            dref_sum += np.exp(-p_now)
-            dref_count += 1
-
-    if is_dig:
-        msg = lambda_bound_warning(adaptive)
-        if msg:
-            warnings.append(msg)
-    if clamps:
-        warnings.append(f"variance draws clamped at the floor {clamps} time(s)")
-
-    return ChainTrace(
-        method=config.method,
-        n=n,
-        m=m,
-        iteration=iteration,
-        wall_clock_ns=wall,
-        cll=cll,
-        lam=lam_tr,
-        ess=ess_tr,
-        g_weight=g_tr,
-        occupied=occupied,
-        snapshots=snapshots,
-        final_state=state,
-        initial_state=initial_state,
-        warnings=warnings,
-        allocation_draws=draws,
-        variance_clamps=clamps,
-        s=s,
-        alpha_snapshots=alpha_snapshots,
-        discomfort_reference=None if dref_sum is None else dref_sum / max(dref_count, 1),
-        discomfort_reference_count=dref_count,
-    )
-
-
-def run_ssg(dataset, K, prior, config: SamplerConfig, rng=None) -> ChainTrace:
-    cfg = _with_method(config, SSG)
-    return run_chain(dataset, K, prior, cfg, rng)
-
-
-def run_rsg(dataset, K, prior, config: SamplerConfig, rng=None) -> ChainTrace:
-    cfg = _with_method(config, RSG)
-    return run_chain(dataset, K, prior, cfg, rng)
-
-
-def run_dig(dataset, K, prior, config: SamplerConfig, rng=None) -> ChainTrace:
-    cfg = _with_method(config, DIG)
-    return run_chain(dataset, K, prior, cfg, rng)
-
-
-def _with_method(config: SamplerConfig, method: str) -> SamplerConfig:
-    if config.method == method:
-        return config
-    from dataclasses import replace
-
-    return replace(config, method=method)
+        record(t, state, stats, elapsed)
+    return record.finish(clamps)

@@ -10,7 +10,6 @@ from scipy.optimize import brentq
 
 from digmix.adaptation import (
     AdaptiveState,
-    DiscomfortConfig,
     WeightSchedule,
     discomfort,
     ess,
@@ -19,7 +18,6 @@ from digmix.adaptation import (
     refresh_due,
     solve_lambda,
     transition_point,
-    update_selection_weights,
     weight_pair,
 )
 
@@ -48,39 +46,6 @@ def test_discomfort_rejects_bad_probability():
         discomfort(1.5, 1.0)
     with pytest.raises(ValueError):
         discomfort(-0.1, 1.0)
-
-
-def test_partial_entropy_discomfort():
-    cfg = DiscomfortConfig(kind="partial_entropy", q=2.0)
-    # (1 - p^2) / (2 - 1) = 1 - p^2
-    np.testing.assert_allclose(discomfort(np.array([0.0, 0.5, 1.0]), 1.0, cfg), [1.0, 0.75, 0.0])
-
-
-def test_generalized_entropy_needs_rows():
-    cfg = DiscomfortConfig(kind="generalized_entropy", q=2.0)
-    with pytest.raises(ValueError):
-        discomfort(np.array([0.5]), 1.0, cfg)
-    rows = np.array([[0.5, 0.5], [1.0, 0.0]])
-    np.testing.assert_allclose(discomfort(rows[:, 0], 1.0, cfg, p_row=rows), [0.5, 0.0])
-
-
-def test_pareto_discomfort_zero_below_threshold():
-    cfg = DiscomfortConfig(kind="pareto", p_m=0.5, shape=2.0)
-    d = discomfort(np.array([0.25, 0.5, 1.0]), 1.0, cfg)
-    assert d[0] == 0.0
-    assert d[1] == pytest.approx(2.0 * 0.25 / 0.125)
-    assert d[2] == pytest.approx(0.5)
-
-
-def test_discomfort_config_validation():
-    with pytest.raises(ValueError):
-        DiscomfortConfig(kind="nope")
-    with pytest.raises(ValueError):
-        DiscomfortConfig(kind="partial_entropy", q=1.0)
-    with pytest.raises(ValueError):
-        DiscomfortConfig(kind="weibull", scale=-1.0, shape=1.0)
-    with pytest.raises(ValueError):
-        DiscomfortConfig(kind="hyperbolic", exponent=0.0)
 
 
 # ---------------------------------------------------------------- ESS and lambda
@@ -191,7 +156,7 @@ def test_solve_lambda_newton_matches_grid_brentq(seed, start):
 
 
 def test_lambda_schedule_phases():
-    state = AdaptiveState(alpha=np.full(4, 0.25), lam=1.0, Lambda=100.0, s=10)
+    state = AdaptiveState(lam=1.0, Lambda=100.0, s=10)
     p = np.array([0.1, 0.9, 0.5, 0.99])
     state.t = 5
     lam_greedy = lambda_schedule(state, p, m=2)
@@ -203,7 +168,7 @@ def test_lambda_schedule_phases():
 
 
 def test_lambda_bound_warning():
-    state = AdaptiveState(alpha=np.full(2, 0.5), lam=1.0, Lambda=10.0, s=100)
+    state = AdaptiveState(lam=1.0, Lambda=10.0, s=100)
     assert lambda_bound_warning(state) is None
     state.refresh_count, state.lambda_at_bound_count = 10, 3
     assert lambda_bound_warning(state) is not None
@@ -266,27 +231,6 @@ def test_transition_point_decreases_with_m(n, K):
 
 # ---------------------------------------------------------------- alpha updates
 
-def test_update_selection_weights_oracle():
-    out = update_selection_weights([0.5, 0.5], [1.0, E_M1], f=0.5, g=0.5)
-    np.testing.assert_allclose(out, [0.6334781973772773, 0.3665218026227227], atol=1e-12)
-
-
-def test_update_selection_weights_simplex():
-    rng = np.random.default_rng(2)
-    alpha = rng.dirichlet(np.ones(30))
-    for _ in range(100):
-        d = rng.uniform(0.01, 1.0, 30)
-        f = rng.random()
-        alpha = update_selection_weights(alpha, d, f, 1 - f)
-        assert np.all(alpha > 0)
-        assert alpha.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_update_selection_weights_collapse_guard():
-    with pytest.raises(ValueError):
-        update_selection_weights([0.5, 0.5], [0.0, 0.0], f=0.0, g=1.0)
-
-
 def test_raw_recursion_properties():
     # The sampler's recursion on unnormalised weights: simplex after
     # normalisation, positivity floor e^{-Lambda}/n, diminishing adaptation,
@@ -337,9 +281,7 @@ def test_constant_discomfort_fixed_point():
 
 def test_adaptive_state_validation():
     with pytest.raises(ValueError):
-        AdaptiveState(alpha=np.array([0.7, 0.2]), lam=1.0)
-    with pytest.raises(ValueError):
-        AdaptiveState(alpha=np.array([0.5, 0.5]), lam=0.5)
+        AdaptiveState(lam=0.5)
 
 
 # ---------------------------------------------------------------- refresh cadence

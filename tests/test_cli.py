@@ -346,6 +346,23 @@ def test_env_overrides(monkeypatch):
     assert spec_from_args(args).n == 55
 
 
+@pytest.mark.parametrize("var,value,flag", [
+    ("DIGMIX_N", "abc", "--n"),
+    ("DIGMIX_THREADS", "two", "--threads"),
+    ("DIGMIX_CLL_MODE", "mean", "--cll-mode"),
+    ("DIGMIX_STANDARDIZE", "maybe", "--standardize"),
+])
+def test_env_values_get_their_flag_checks(tmp_path, monkeypatch, capsys, var, value, flag):
+    monkeypatch.setenv(var, value)
+    out = tmp_path / "run"
+    code = main(["--n", "60", "--iters", "60", "--window", "20", "--replicas", "1",
+                 "--out-dir", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert var in err and flag in err and repr(value) in err
+    assert not out.exists()
+
+
 def test_label_col_numeric_coercion():
     args = build_parser().parse_args(["--label-col", "2"])
     assert spec_from_args(args).label_col == 2

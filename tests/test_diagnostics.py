@@ -227,3 +227,13 @@ def test_epochs():
 def test_mode_allocation():
     snaps = [np.array([0, 1, 2]), np.array([0, 1, 1]), np.array([1, 1, 2])]
     np.testing.assert_array_equal(mode_allocation(snaps), [0, 1, 2])
+
+
+def test_mode_allocation_matches_per_component_counts():
+    # Against a count per component; ties go to the lowest component.
+    rng = np.random.default_rng(5)
+    snaps = [rng.integers(0, 4, 300) for _ in range(6)]
+    stacked = np.stack(snaps)
+    counts = np.stack([(stacked == k).sum(axis=0) for k in range(4)])
+    np.testing.assert_array_equal(mode_allocation(snaps), counts.argmax(axis=0))
+    np.testing.assert_array_equal(mode_allocation([np.array([2, 0]), np.array([1, 0])]), [1, 0])

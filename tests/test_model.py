@@ -15,8 +15,6 @@ from digmix.model import (
     log_component_density,
     log_density_matrix,
     refresh_responsibilities,
-    responsibilities_row,
-    sample_allocation,
     sample_allocations_rows,
     sample_component_params,
     sample_mixture_weights,
@@ -65,14 +63,14 @@ def test_log_density_matrix_matches_scalar():
 def test_responsibilities_logistic_pair():
     # Two unit-variance components whose log densities differ by exactly 2.
     state = make_state(z=[0], pi=[0.5, 0.5], mu=[[0.0], [2.0]], sigma2=[[1.0], [1.0]])
-    row = responsibilities_row([2.0], state)
+    row = refresh_responsibilities(Dataset(x=[[2.0]]), state).p[0]
     assert row[1] == pytest.approx(LOGISTIC_2, abs=1e-12)
     assert row.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_responsibilities_extreme_logits_stable():
     state = make_state(z=[0], pi=[0.5, 0.5], mu=[[0.0], [500.0]], sigma2=[[1.0], [1.0]])
-    row = responsibilities_row([0.0], state)
+    row = refresh_responsibilities(Dataset(x=[[0.0]]), state).p[0]
     assert np.all(np.isfinite(row))
     assert row[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -148,17 +146,16 @@ def test_complete_log_likelihood_matches_sum():
 # ---------------------------------------------------------------- allocation draws
 
 def test_sample_allocation_distribution():
+    # The samplers' vectorised draw: the logistic pair, then three categories
+    # whose frequencies must match within 4 standard errors.
     state = make_state(z=[0], pi=[0.5, 0.5], mu=[[0.0], [2.0]], sigma2=[[1.0], [1.0]])
     rng = np.random.default_rng(7)
-    draws = np.array([sample_allocation(0, Dataset(x=np.array([[2.0]])), state, rng)[0]
-                      for _ in range(20000)])
-    assert draws.mean() == pytest.approx(LOGISTIC_2, abs=0.01)
-
-
-def test_sample_allocation_index_check():
-    state = make_state(z=[0], pi=[1.0], mu=[[0.0]], sigma2=[[1.0]])
-    with pytest.raises(ValueError):
-        sample_allocation(5, Dataset(x=np.array([[0.0]])), state, np.random.default_rng(0))
+    rows = refresh_responsibilities(Dataset(x=np.full((20000, 1), 2.0)), state).p
+    assert sample_allocations_rows(rows, rng).mean() == pytest.approx(LOGISTIC_2, abs=0.01)
+    probs = np.array([0.2, 0.5, 0.3])
+    draws = sample_allocations_rows(np.tile(probs, (30000, 1)), rng)
+    freq = np.bincount(draws, minlength=3) / draws.size
+    assert np.all(np.abs(freq - probs) < 4 * np.sqrt(probs * (1 - probs) / draws.size))
 
 
 # ---------------------------------------------------------------- conjugate updates

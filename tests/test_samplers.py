@@ -1,15 +1,11 @@
 """Chain-runner tests: selection sampling, trace invariants, determinism."""
 
-import sys
-
 import numpy as np
 import pytest
 
 from digmix import samplers
-
-from digmix.adaptation import DiscomfortConfig
 from digmix.datagen import gen_miller_harrison
-from digmix.model import Dataset, PriorSpec, empirical_bayes_hyperparams
+from digmix.model import empirical_bayes_hyperparams
 from digmix.samplers import (
     DIG,
     RSG,
@@ -17,9 +13,6 @@ from digmix.samplers import (
     SamplerConfig,
     init_state,
     run_chain,
-    run_dig,
-    run_rsg,
-    run_ssg,
     sample_without_replacement,
 )
 
@@ -30,6 +23,10 @@ def small_problem(seed=0, n=60, d=2):
     ds = gen_miller_harrison(n, d, np.random.default_rng(seed))
     prior = empirical_bayes_hyperparams(ds, 3)
     return ds, prior
+
+
+def run(method, ds, prior, rng=None, **config):
+    return run_chain(ds, 3, prior, SamplerConfig(method=method, **config), rng)
 
 
 # ---------------------------------------------------------------- selection sampling
@@ -82,6 +79,11 @@ def test_config_validation():
         SamplerConfig(T=0)
     with pytest.raises(ValueError):
         SamplerConfig(cll_mode="mean")
+    with pytest.raises(ValueError, match="snapshot_every"):
+        SamplerConfig(snapshot_every=-5)
+    for method in (RSG, DIG):
+        with pytest.raises(ValueError, match="only SSG"):
+            SamplerConfig(method=method, m=5, collect_discomfort_reference=True)
     ds, prior = small_problem()
     with pytest.raises(ValueError):
         run_chain(ds, 3, prior, SamplerConfig(method=RSG, T=5, m=None))
@@ -91,7 +93,7 @@ def test_config_validation():
 
 def test_ssg_ignores_m():
     ds, prior = small_problem()
-    tr = run_ssg(ds, 3, prior, SamplerConfig(T=5, m=7, seed=0, snapshot_every=0))
+    tr = run(SSG, ds, prior, T=5, m=7, seed=0, snapshot_every=0)
     assert tr.m == ds.n
     assert tr.allocation_draws == ds.n * 5
 
@@ -100,10 +102,9 @@ def test_ssg_ignores_m():
 
 def test_determinism_same_seed():
     ds, prior = small_problem()
-    for runner in (run_ssg, run_rsg, run_dig):
-        cfg = SamplerConfig(T=40, m=6, seed=123, snapshot_every=5)
-        a = runner(ds, 3, prior, cfg)
-        b = runner(ds, 3, prior, cfg)
+    for method in (SSG, RSG, DIG):
+        a = run(method, ds, prior, T=40, m=6, seed=123, snapshot_every=5)
+        b = run(method, ds, prior, T=40, m=6, seed=123, snapshot_every=5)
         np.testing.assert_array_equal(a.cll, b.cll)
         np.testing.assert_array_equal(a.final_state.z, b.final_state.z)
         for t in a.snapshots:
@@ -112,8 +113,7 @@ def test_determinism_same_seed():
 
 def test_initial_state_shared_across_methods():
     ds, prior = small_problem()
-    traces = [runner(ds, 3, prior, SamplerConfig(T=3, m=6, seed=9, snapshot_every=0))
-              for runner in (run_ssg, run_rsg, run_dig)]
+    traces = [run(method, ds, prior, T=3, m=6, seed=9, snapshot_every=0) for method in (SSG, RSG, DIG)]
     for tr in traces[1:]:
         np.testing.assert_array_equal(tr.initial_state.z, traces[0].initial_state.z)
         np.testing.assert_allclose(tr.initial_state.mu, traces[0].initial_state.mu)
@@ -130,11 +130,11 @@ def test_init_state_shapes():
 
 # ---------------------------------------------------------------- trace invariants
 
-@pytest.mark.parametrize("method,runner", [(SSG, run_ssg), (RSG, run_rsg), (DIG, run_dig)])
-def test_trace_invariants(method, runner):
+@pytest.mark.parametrize("method", [SSG, RSG, DIG])
+def test_trace_invariants(method):
     ds, prior = small_problem()
     T = 60
-    tr = runner(ds, 3, prior, SamplerConfig(T=T, m=6, seed=4, snapshot_every=10))
+    tr = run(method, ds, prior, T=T, m=6, seed=4, snapshot_every=10)
     assert tr.T == T
     assert tr.method == method
     np.testing.assert_array_equal(tr.iteration, np.arange(1, T + 1))
@@ -156,8 +156,7 @@ def test_trace_invariants(method, runner):
 
 def test_dig_lambda_and_g_schedules():
     ds, prior = small_problem(n=80)
-    cfg = SamplerConfig(T=400, m=8, seed=5, snapshot_every=0)
-    tr = run_dig(ds, 3, prior, cfg)
+    tr = run(DIG, ds, prior, T=400, m=8, seed=5, snapshot_every=0)
     s = tr.s
     assert np.all(tr.lam[: min(s, 400)] >= 1.0)
     post = np.arange(s, 400)              # 0-based indices of iterations > s
@@ -171,8 +170,8 @@ def test_dig_lambda_and_g_schedules():
 def test_cll_modes_differ_and_are_finite():
     ds, prior = small_problem()
     base = dict(T=50, m=6, seed=6, snapshot_every=0)
-    run_r = run_dig(ds, 3, prior, SamplerConfig(cll_mode="running", **base))
-    run_s = run_dig(ds, 3, prior, SamplerConfig(cll_mode="state", **base))
+    run_r = run(DIG, ds, prior, cll_mode="running", **base)
+    run_s = run(DIG, ds, prior, cll_mode="state", **base)
     assert np.all(np.isfinite(run_r.cll)) and np.all(np.isfinite(run_s.cll))
     assert not np.allclose(run_r.cll, run_s.cll)
     # Same RNG consumption: the chains themselves are identical.
@@ -181,41 +180,24 @@ def test_cll_modes_differ_and_are_finite():
 
 def test_discomfort_reference_collection():
     ds, prior = small_problem()
-    tr = run_ssg(ds, 3, prior, SamplerConfig(T=40, seed=7, snapshot_every=0,
-                                             collect_discomfort_reference=True))
+    tr = run(SSG, ds, prior, T=40, seed=7, snapshot_every=0, collect_discomfort_reference=True)
     assert tr.discomfort_reference_count == 20
     ref = tr.discomfort_reference
     assert ref.shape == (ds.n,)
     assert np.all((ref >= np.exp(-1) - 1e-12) & (ref <= 1.0 + 1e-12))
 
 
-@pytest.mark.parametrize("kind,kwargs", [
-    ("partial_entropy", dict(q=2.0)),
-    ("generalized_entropy", dict(q=2.0)),
-    ("pareto", dict(p_m=0.1, shape=1.5)),
-    ("weibull", dict(scale=0.5, shape=1.5)),
-    ("hyperbolic", dict(exponent=1.0)),
-])
-def test_dig_alternative_discomfort_kinds_run(kind, kwargs):
-    ds, prior = small_problem(n=40)
-    cfg = SamplerConfig(T=30, m=4, seed=8, snapshot_every=0,
-                        discomfort=DiscomfortConfig(kind=kind, **kwargs))
-    tr = run_dig(ds, 3, prior, cfg)
-    assert np.all(np.isfinite(tr.cll))
-
-
 def test_explicit_rng_argument():
     ds, prior = small_problem()
-    cfg = SamplerConfig(T=10, m=6, seed=0, snapshot_every=0)
-    a = run_rsg(ds, 3, prior, cfg, rng=np.random.default_rng(77))
-    b = run_rsg(ds, 3, prior, cfg, rng=np.random.default_rng(77))
+    a = run(RSG, ds, prior, np.random.default_rng(77), T=10, m=6, seed=0, snapshot_every=0)
+    b = run(RSG, ds, prior, np.random.default_rng(77), T=10, m=6, seed=0, snapshot_every=0)
     np.testing.assert_array_equal(a.cll, b.cll)
 
 
 def test_rsg_only_touches_selected_indices():
     # With m=1, at most one allocation changes per iteration.
     ds, prior = small_problem(n=30)
-    tr = run_rsg(ds, 3, prior, SamplerConfig(T=50, m=1, seed=9, snapshot_every=1))
+    tr = run(RSG, ds, prior, T=50, m=1, seed=9, snapshot_every=1)
     prev = tr.initial_state.z
     for t in range(1, 51):
         cur = tr.snapshots[t]
@@ -227,26 +209,24 @@ def test_rsg_only_touches_selected_indices():
 
 @pytest.mark.parametrize("m", [10, 100])
 def test_dig_assigned_probabilities_match_gather(monkeypatch, m):
-    """DIG keeps p_{i,z_i} as a vector overwritten on the m updated rows; at
-    every iteration it must equal the gather from the chain's own
-    responsibility matrix, bit for bit.  ``weight_pair`` is called right
-    before the discomfort step (and again in the untimed bookkeeping), so a
-    wrapper on it reads the chain's locals at that point."""
+    """DIG's step keeps p_{i,z_i} as a vector overwritten on the m redrawn
+    rows; after every iteration's step it must equal the gather from the
+    step's own responsibility matrix, bit for bit."""
     ds, prior = small_problem(n=200)
-    real_weight_pair = samplers.weight_pair
+    real_step = samplers._AdaptiveScan.__call__
     checked = [0]
 
-    def spy(t, schedule):
-        chain = sys._getframe(1).f_locals
-        p_row = chain["resp"].p
-        expect = p_row[np.arange(p_row.shape[0]), chain["state"].z]
-        assert chain["p_assigned"].tobytes() == expect.tobytes(), f"iteration {t}"
+    def spy(step, t, state, rng):
+        moved = real_step(step, t, state, rng)
+        p_row = step.resp.p
+        expect = p_row[np.arange(p_row.shape[0]), state.z]
+        assert step.p_assigned.tobytes() == expect.tobytes(), f"iteration {t}"
         checked[0] += 1
-        return real_weight_pair(t, schedule)
+        return moved
 
-    monkeypatch.setattr(samplers, "weight_pair", spy)
+    monkeypatch.setattr(samplers._AdaptiveScan, "__call__", spy)
     T = 2000
     for cll_mode in ("state", "running"):
         run_chain(ds, 3, prior, SamplerConfig(method=DIG, T=T, m=m, seed=3, snapshot_every=0,
                                               cll_mode=cll_mode))
-    assert checked[0] == 2 * 2 * T
+    assert checked[0] == 2 * T

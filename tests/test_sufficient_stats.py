@@ -35,6 +35,19 @@ GOLDEN = {
     DIG: "f6e86f63551edbc978f14ab8f5af74c57601362404a8fcf2a0139a8f74b5512b",
 }
 
+# SHA-256 of a whole ChainTrace but its wall clock, per method and CLL mode,
+# for the configuration in test_golden_trace_digest; taken before the per-method allocation steps
+# replaced the method-branching loop, so equality shows that neither the
+# chains nor any of their bookkeeping changed.
+GOLDEN_TRACE = {
+    (SSG, "running"): "6f1f16371935f8853121d15e991d45756ac096dff26bfe7f6d7e23beaf8e3bce",
+    (SSG, "state"): "6081cc546022d88f0031aa36b55182841d97c848d2fad01a759ce74e3f7a97e5",
+    (RSG, "running"): "4d6edeebd04dcb52e20841e2881b527d07675ef58257473e5bb4087b17e88b75",
+    (RSG, "state"): "d897c902fcf625a8eddfb0e75f349d61c0318fb318f490341f5baec58a03f6da",
+    (DIG, "running"): "7ac9c0b4a57bb7fce51dfe9632a0d0944e51c3ace8ecc817f68ae2d0e4a5316c",
+    (DIG, "state"): "b82fed283bb1efe308c7ae930863b2e51302ec20a8ff02a9acab2433db564c66",
+}
+
 
 def cll_rowwise(dataset, state):
     """Reference CLL: log pi_{z_i} + log N(x_i | mu_{z_i}, sigma2_{z_i}) summed row by row."""
@@ -203,3 +216,46 @@ def test_golden_allocation_digest(method):
         h.update(np.ascontiguousarray(tr.snapshots[t], dtype=np.int32).tobytes())
     h.update(str(tr.allocation_draws).encode())
     assert h.hexdigest() == GOLDEN[method]
+
+
+def trace_digest(tr):
+    """SHA-256 over every field of a trace except the wall clock, whose dtype alone enters.
+
+    Arrays enter with their dtype and shape, so a changed dtype changes the
+    digest even when the values do not.
+    """
+    h = hashlib.sha256()
+
+    def add(a):
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+
+    h.update(repr((tr.method, tr.n, tr.m, tr.s, tr.allocation_draws, tr.variance_clamps,
+                   tr.discomfort_reference_count, tr.warnings)).encode())
+    h.update(tr.wall_clock_ns.dtype.str.encode())
+    for a in (tr.iteration, tr.cll, tr.lam, tr.ess, tr.g_weight, tr.occupied):
+        add(a)
+    for snaps in (tr.snapshots, tr.alpha_snapshots):
+        for t in sorted(snaps):
+            h.update(str(t).encode())
+            add(snaps[t])
+    if tr.discomfort_reference is not None:
+        add(tr.discomfort_reference)
+    for state in (tr.initial_state, tr.final_state):
+        for a in (state.z, state.pi, state.mu, state.sigma2):
+            add(a)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("cll_mode", ["running", "state"])
+@pytest.mark.parametrize("method", [SSG, RSG, DIG])
+def test_golden_trace_digest(method, cll_mode):
+    ds, prior = golden_config()
+    # A low bound on lambda, so that DIG's trace carries its bound warning;
+    # SSG collects the discomfort reference.
+    tr = run_chain(ds, 3, prior, SamplerConfig(method=method, T=300, m=10, seed=4, snapshot_every=7,
+                                               Lambda=1.5, cll_mode=cll_mode,
+                                               collect_discomfort_reference=method == SSG))
+    assert (method != DIG) or tr.warnings
+    assert trace_digest(tr) == GOLDEN_TRACE[method, cll_mode]
