@@ -15,6 +15,7 @@ sigma2 across dimensions within a component by pooling residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,30 +202,38 @@ def complete_log_likelihood(dataset: Dataset, state: MixtureState, stats=None) -
     quad = (sqsums - 2.0 * state.mu * sums + nk * state.mu ** 2) / state.sigma2
     logdet = nk * (LOG_2PI + np.log(state.sigma2))
     cll = float(counts @ np.log(state.pi) - 0.5 * (logdet + quad).sum())
-    if not np.isfinite(cll):
+    if not math.isfinite(cll):
         raise ValueError("non-finite complete log-likelihood")
     return cll
 
 
 def sample_allocations_rows(rows: np.ndarray, rng) -> np.ndarray:
     """Vectorised categorical draw, one per probability row."""
-    c = np.cumsum(rows, axis=1)
+    c = rows.cumsum(axis=1)
     u = rng.random(rows.shape[0])
     draws = (c < u[:, None]).sum(axis=1)
     return np.minimum(draws, rows.shape[1] - 1)
 
 
-def sample_mixture_weights(state: MixtureState, prior: PriorSpec, rng, stats=None) -> np.ndarray:
+def prior_constants(prior: PriorSpec, K: int):
+    """``(a/K, 1/tau2, m0/tau2)``: the prior's terms in the conjugate draws, computed once per chain."""
+    return prior.a / K, 1.0 / prior.tau2, prior.m0 / prior.tau2
+
+
+def sample_mixture_weights(state: MixtureState, prior: PriorSpec, rng, stats=None, const=None) -> np.ndarray:
     """Dirichlet(a/K + n_1, ..., a/K + n_K) draw given the allocations.
 
     The counts are taken from ``stats`` (see :func:`component_sufficient_stats`)
-    when given, else counted from ``state.z``.
+    when given, else counted from ``state.z``; ``const`` is
+    :func:`prior_constants`' tuple, computed here when not given.
     """
     counts = np.bincount(state.z, minlength=state.K) if stats is None else stats[0]
-    pi = rng.dirichlet(prior.a / state.K + counts)
+    a_k = prior.a / state.K if const is None else const[0]
+    pi = rng.dirichlet(a_k + counts)
     # Guard against exact zeros from extreme Dirichlet draws.
-    pi = np.maximum(pi, 1e-300)
-    return pi / pi.sum()
+    np.maximum(pi, 1e-300, out=pi)
+    pi /= pi.sum()
+    return pi
 
 
 def component_sufficient_stats(dataset: Dataset, z: np.ndarray, K: int):
@@ -239,19 +248,25 @@ def component_sufficient_stats(dataset: Dataset, z: np.ndarray, K: int):
     return counts, sums, sqsums
 
 
-def update_sufficient_stats(stats, x_rows: np.ndarray, z_old: np.ndarray, z_new: np.ndarray):
+def update_sufficient_stats(stats, x_rows: np.ndarray, z_old: np.ndarray, z_new: np.ndarray,
+                            x_rows_sq=None, eye=None):
     """Move rows ``x_rows`` from components ``z_old`` to ``z_new`` in ``stats``, in place.
 
     Each row must appear once.  Costs O(md + Kd) for m rows: the one-hot
     difference matrix (zero on rows that stay) enters two (K, m) x (m, d)
-    products.
+    products.  Repeated callers pass ``x_rows * x_rows`` when they hold it
+    and ``np.eye(K)``, built once; whatever is left out is computed.
     """
     counts, sums, sqsums = stats
-    eye = np.eye(counts.size)
-    diff = eye[z_new] - eye[z_old]
+    if eye is None:
+        eye = np.eye(counts.size)
+    if x_rows_sq is None:
+        x_rows_sq = x_rows * x_rows
+    diff = eye.take(z_new, axis=0)     # take gathers rows faster than eye[z_new]
+    diff -= eye.take(z_old, axis=0)
     counts += diff.sum(axis=0)
     sums += diff.T @ x_rows
-    sqsums += diff.T @ (x_rows * x_rows)
+    sqsums += diff.T @ x_rows_sq
     if not counts.all():
         # An emptied component keeps the exact zeros a recompute gives,
         # not the rounding residue of its departed rows.
@@ -260,41 +275,46 @@ def update_sufficient_stats(stats, x_rows: np.ndarray, z_old: np.ndarray, z_new:
         sqsums[empty] = 0.0
 
 
-def sample_component_params(dataset: Dataset, state: MixtureState, prior: PriorSpec, rng, stats=None):
+def sample_component_params(dataset: Dataset, state: MixtureState, prior: PriorSpec, rng, stats=None,
+                            const=None):
     """One semi-conjugate sweep: mu | sigma2 then sigma2 | mu, all components.
 
     ``stats`` are the ``(counts, sums, sqsums)`` of ``state.z``, recomputed
-    from the data when not given.  Empty components fall through to prior
-    draws.  Returns (mu, sigma2, clamp_events) where clamp_events counts
-    variance draws hitting the floor.
+    from the data when not given; ``const`` is :func:`prior_constants`'
+    tuple, likewise.  Empty components fall through to prior draws.  Returns
+    (mu, sigma2, clamp_events) where clamp_events counts variance draws
+    hitting the floor.
     """
     K = state.K
     if stats is None:
         stats = component_sufficient_stats(dataset, state.z, K)
+    _, tau2_inv, m0_tau2 = prior_constants(prior, K) if const is None else const
     counts, sums, sqsums = stats
     nk = counts[:, None]  # (K, 1)
 
-    prec = 1.0 / prior.tau2 + nk / state.sigma2
-    mean = (prior.m0 / prior.tau2 + sums / state.sigma2) / prec
+    prec = tau2_inv + nk / state.sigma2
+    mean = (m0_tau2 + sums / state.sigma2) / prec
     mu = mean + rng.standard_normal((K, dataset.d)) / np.sqrt(prec)
 
     # Residual sum of squares around the freshly drawn means.
     rss = sqsums - 2.0 * mu * sums + nk * mu ** 2
     rss = np.maximum(rss, 0.0)
 
+    # standard_gamma draws what gamma(shape) (scale 1) draws, at half the cost.
     if prior.spherical:
         shape = prior.alpha_sigma + counts * dataset.d / 2.0
         rate = prior.beta_sigma + 0.5 * rss.sum(axis=1)
-        draw = rate / rng.gamma(shape)
+        draw = rate / rng.standard_gamma(shape)
         sigma2 = np.repeat(draw[:, None], dataset.d, axis=1)
     else:
         shape = prior.alpha_sigma + nk / 2.0
         rate = prior.beta_sigma + 0.5 * rss
-        sigma2 = rate / rng.gamma(shape)
+        sigma2 = rate / rng.standard_gamma(shape)
 
-    clamped = int(np.sum(sigma2 < VARIANCE_FLOOR))
-    sigma2 = np.maximum(sigma2, VARIANCE_FLOOR)
-    return mu, sigma2, clamped
+    if sigma2.min() >= VARIANCE_FLOOR:
+        return mu, sigma2, 0
+    clamped = int(np.count_nonzero(sigma2 < VARIANCE_FLOOR))
+    return mu, np.maximum(sigma2, VARIANCE_FLOOR), clamped
 
 
 def empirical_bayes_hyperparams(dataset: Dataset, K: int, spherical: bool = False) -> PriorSpec:

@@ -32,6 +32,7 @@ from .model import (
     complete_log_likelihood,
     component_sufficient_stats,
     log_density_matrix,
+    prior_constants,
     refresh_responsibilities,
     sample_allocations_rows,
     sample_component_params,
@@ -129,14 +130,14 @@ def sample_without_replacement(weights, m: int, rng) -> np.ndarray:
     n = w.size
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
-    if np.any(w <= 0):
+    if not w.min() > 0:     # one call; NaN fails it too
         raise ValueError("weights must be strictly positive")
     keys = rng.standard_exponential(n)
     np.divide(keys, w, out=keys)
     if m == n:
-        return np.argsort(keys)
-    part = np.argpartition(keys, m)[:m]
-    return part[np.argsort(keys[part])]
+        return keys.argsort()
+    part = keys.argpartition(m)[:m]
+    return part[keys[part].argsort()]
 
 
 def _resolve_m(config: SamplerConfig, n: int) -> int:
@@ -169,8 +170,10 @@ class _SystematicScan:
 class _RandomScan:
     """RSG's allocation step: m rows drawn uniformly with replacement and redrawn.
 
-    Returns the moved rows as ``(x rows, old z, new z)``, each row once, for
-    the statistics update.  The m-row pass squares its own gathered rows.
+    Returns the moved rows as ``(x rows, old z, new z, x rows squared or
+    None)``, each row once, for the statistics update.  The m-row pass
+    squares its own gathered rows; when the rows are distinct (DIG), those
+    buffers are returned, valid until the next step.
     """
 
     def __init__(self, dataset: Dataset, K: int, m: int, config: SamplerConfig):
@@ -179,16 +182,20 @@ class _RandomScan:
         self.x_sel_sq = np.empty((m, dataset.d))
         self.sel_logp = np.empty((m, K))
         self.sel_work = np.empty((m, K))
+        self.first = np.ones(m, dtype=bool)    # [0] stays True
 
     def select(self, t: int, state: MixtureState, rng):
         """The rows to redraw, and each changed row once, in the order the statistics take them."""
         idx = rng.integers(0, self.n, self.m)
-        # Duplicate indices resolve to the last draw.
-        return idx, np.unique(idx)
+        # Duplicate indices resolve to the last draw.  The sorted distinct
+        # indices, as np.unique gives them, for a sort and one comparison.
+        srt = np.sort(idx)
+        np.not_equal(srt[1:], srt[:-1], out=self.first[1:])
+        return idx, srt[self.first]
 
     def __call__(self, t: int, state: MixtureState, rng):
         idx, changed = self.select(t, state, rng)
-        np.take(self.x, idx, axis=0, out=self.x_sel)
+        self.x.take(idx, axis=0, out=self.x_sel)
         np.multiply(self.x_sel, self.x_sel, out=self.x_sel_sq)
         rows = _normalise_rows(log_density_matrix(self.x_sel, state, out=self.sel_logp, xsq=self.x_sel_sq,
                                                   work=self.sel_work))
@@ -196,7 +203,9 @@ class _RandomScan:
         z_old = state.z[changed]
         state.z[idx] = new_z
         self.redrawn(idx, rows, new_z)
-        return self.x[changed], z_old, state.z[changed]
+        if changed is idx:
+            return self.x_sel, z_old, new_z, self.x_sel_sq
+        return self.x.take(changed, axis=0), z_old, state.z[changed], None
 
     def redrawn(self, idx: np.ndarray, rows: np.ndarray, new_z: np.ndarray):
         """Sees each redrawn row's fresh probabilities; RSG keeps nothing of them."""
@@ -211,7 +220,9 @@ class _AdaptiveScan(_RandomScan):
     adaptation step large long after g has decayed, so adaptation would never
     actually diminish.  ``p_assigned`` holds p_{i,z_i}: gathered from the
     responsibility matrix at each refresh, then overwritten on the m redrawn
-    rows, whose probability rows are fresh.
+    rows, whose probability rows are fresh.  ``discomfort`` holds
+    exp(-lambda p_{i,z_i}) the same way: recomputed at each refresh, where
+    lambda may change, and overwritten on the m redrawn rows.
     """
 
     def __init__(self, dataset: Dataset, K: int, m: int, config: SamplerConfig):
@@ -231,6 +242,7 @@ class _AdaptiveScan(_RandomScan):
         self.full_work = np.empty((n, K))
         self.idx_n = np.arange(n)
         self.idx_m = np.arange(m)
+        self.discomfort = np.empty(n)
         self.d_buf = np.empty(n)
 
     def select(self, t: int, state: MixtureState, rng):
@@ -242,11 +254,11 @@ class _AdaptiveScan(_RandomScan):
             self.p_assigned = self.resp.p[self.idx_n, state.z]
             lambda_schedule(adaptive, self.p_assigned, self.m)
             self.ess = ess(self.p_assigned, adaptive.lam)
+            np.multiply(self.p_assigned, -adaptive.lam, out=self.discomfort)
+            np.exp(self.discomfort, out=self.discomfort)
         f, self.g = weight_pair(t, self.schedule)
-        np.multiply(self.p_assigned, -adaptive.lam, out=self.d_buf)
-        np.exp(self.d_buf, out=self.d_buf)
         self.alpha_raw *= f
-        self.d_buf *= self.g
+        np.multiply(self.discomfort, self.g, out=self.d_buf)
         self.alpha_raw += self.d_buf
         # The race keys are scale-invariant in the weights, so the raw vector
         # drives selection directly; it is normalised only for snapshots.
@@ -255,7 +267,10 @@ class _AdaptiveScan(_RandomScan):
 
     def redrawn(self, idx: np.ndarray, rows: np.ndarray, new_z: np.ndarray):
         self.resp.p[idx] = rows
-        self.p_assigned[idx] = rows[self.idx_m, new_z]
+        p = rows[self.idx_m, new_z]
+        self.p_assigned[idx] = p
+        np.multiply(p, -self.adaptive.lam, out=p)
+        self.discomfort[idx] = np.exp(p, out=p)
 
 
 _STEPS = {SSG: _SystematicScan, RSG: _RandomScan, DIG: _AdaptiveScan}
@@ -286,11 +301,14 @@ class _Recorder:
         if self.running:
             # Ergodic averages of the parameter blocks, updated each iteration;
             # the trace CLL plugs these in together with the current allocations.
+            # mu's and sigma2's sums share one array, and so do their averages,
+            # so that one division updates both.
             self.sum_pi = np.zeros(K)
-            self.sum_mu = np.zeros((K, d))
-            self.sum_sigma2 = np.zeros((K, d))
-            self.est = MixtureState(z=state.z, pi=np.full(K, 1.0 / K), mu=np.zeros((K, d)),
-                                    sigma2=np.ones((K, d)))
+            self.sum_params = np.zeros((2, K, d))
+            self.sum_mu, self.sum_sigma2 = self.sum_params
+            self.avg_params = np.ones((2, K, d))
+            self.est = MixtureState(z=state.z, pi=np.full(K, 1.0 / K), mu=self.avg_params[0],
+                                    sigma2=self.avg_params[1])
         self.idx_n = np.arange(n)
 
     def __call__(self, t: int, state: MixtureState, stats, elapsed: int):
@@ -303,8 +321,7 @@ class _Recorder:
             self.sum_sigma2 += state.sigma2
             est.z = state.z
             np.divide(self.sum_pi, self.sum_pi.sum(), out=est.pi)
-            np.divide(self.sum_mu, t, out=est.mu)
-            np.divide(self.sum_sigma2, t, out=est.sigma2)
+            np.divide(self.sum_params, t, out=self.avg_params)
             tr.cll[i] = complete_log_likelihood(self.dataset, est, stats)
         else:
             tr.cll[i] = complete_log_likelihood(self.dataset, state, stats)
@@ -353,17 +370,19 @@ def run_chain(dataset: Dataset, K: int, prior: PriorSpec, config: SamplerConfig,
     # per epoch (ceil(n/m) iterations) to bound rounding drift; a full sweep
     # (and every iteration at m = n) recomputes.
     epoch = -(-n // m)
+    const = prior_constants(prior, K)
+    eye = np.eye(K)
     stats = None
     elapsed = clamps = 0
     for t in range(1, config.T + 1):
         tic = time.perf_counter_ns()
         moved = step(t, state, rng)
         if moved is not None and (t - 1) % epoch != 0:
-            update_sufficient_stats(stats, *moved)
+            update_sufficient_stats(stats, *moved, eye)
         else:
             stats = component_sufficient_stats(dataset, state.z, K)
-        state.pi = sample_mixture_weights(state, prior, rng, stats)
-        state.mu, state.sigma2, c = sample_component_params(dataset, state, prior, rng, stats)
+        state.pi = sample_mixture_weights(state, prior, rng, stats, const)
+        state.mu, state.sigma2, c = sample_component_params(dataset, state, prior, rng, stats, const)
         clamps += c
         elapsed += time.perf_counter_ns() - tic
         record(t, state, stats, elapsed)

@@ -215,6 +215,28 @@ def test_sigma2_conditional_ks():
     assert ks < 0.03
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the non-spherical sigma2 draw shares one gamma variate across the d dimensions of a "
+    "component (its shape is (K, 1)); drawing per dimension moves acceptance criteria 2, 3, 4 "
+    "and 9, and waits for a decision on them (ROADMAP)"))
+def test_sigma2_dimensions_drawn_independently():
+    # sigma2_kj | rest ~ InverseGamma(alpha + n_k/2, beta + rss_kj/2), independently over j, so
+    # the gamma variates rate_kj / sigma2_kj of one component are uncorrelated across j.
+    rng = np.random.default_rng(8)
+    data = Dataset(x=rng.standard_normal((40, 3)))
+    prior = PriorSpec(m0=np.zeros(3), tau2=1.0, alpha_sigma=2.0, beta_sigma=1.0, a=1.0)
+    state = make_state(z=np.zeros(40, dtype=int), pi=[1.0], mu=[np.zeros(3)], sigma2=[np.ones(3)])
+    n, sums, sqsums = 40, data.x.sum(axis=0), (data.x ** 2).sum(axis=0)
+    variates = []
+    for _ in range(2000):
+        mu, s2, _ = sample_component_params(data, state, prior, rng)
+        rss = np.maximum(sqsums - 2.0 * mu[0] * sums + n * mu[0] ** 2, 0.0)
+        variates.append((prior.beta_sigma + 0.5 * rss) / s2[0])
+    corr = np.corrcoef(np.array(variates), rowvar=False)
+    # Independent draws: each correlation ~ N(0, 1/2000), sd about 0.022.
+    assert np.all(np.abs(corr[np.triu_indices(3, 1)]) < 0.15)
+
+
 def test_empty_component_falls_back_to_prior():
     rng = np.random.default_rng(6)
     x = np.zeros((5, 1))

@@ -64,8 +64,9 @@ def test_swr_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         sample_without_replacement(np.array([0.5, 0.5]), 3, rng)
-    with pytest.raises(ValueError):
-        sample_without_replacement(np.array([0.5, 0.0]), 1, rng)
+    for bad in (0.0, -0.5, np.nan):
+        with pytest.raises(ValueError, match="strictly positive"):
+            sample_without_replacement(np.array([0.5, bad]), 1, rng)
     with pytest.raises(ValueError):
         sample_without_replacement(np.array([0.5, 0.5]), 0, rng)
 
@@ -230,3 +231,25 @@ def test_dig_assigned_probabilities_match_gather(monkeypatch, m):
         run_chain(ds, 3, prior, SamplerConfig(method=DIG, T=T, m=m, seed=3, snapshot_every=0,
                                               cll_mode=cll_mode))
     assert checked[0] == 2 * T
+
+
+@pytest.mark.parametrize("m", [10, 100])
+def test_dig_cached_discomfort_matches_fresh(monkeypatch, m):
+    """DIG's step keeps exp(-lambda p_{i,z_i}) as a vector, recomputed at each
+    refresh and overwritten on the m redrawn rows; after every iteration's step
+    it must equal the discomfort computed afresh from ``p_assigned``, bit for bit."""
+    ds, prior = small_problem(n=200)
+    real_step = samplers._AdaptiveScan.__call__
+    checked = [0]
+
+    def spy(step, t, state, rng):
+        moved = real_step(step, t, state, rng)
+        fresh = np.exp(step.p_assigned * -step.adaptive.lam)
+        assert step.discomfort.tobytes() == fresh.tobytes(), f"iteration {t}"
+        checked[0] += 1
+        return moved
+
+    monkeypatch.setattr(samplers._AdaptiveScan, "__call__", spy)
+    T = 2000
+    run_chain(ds, 3, prior, SamplerConfig(method=DIG, T=T, m=m, seed=3, snapshot_every=0))
+    assert checked[0] == T
