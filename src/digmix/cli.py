@@ -11,7 +11,10 @@ initialization block is identical across methods), then writes:
   - the selection-weight convergence-gap series for the adaptive method
     (when a systematic-scan reference chain is available).
 
-All files are written by the main process; workers only sample.  Each file is
+Each chain's job writes that chain's trace and, for replica 0, its method's
+PSM, in the pool worker that ran it; the PSM is streamed from blocks of pair
+counts, so no process holds an (n, n) array.  The main process writes the
+summaries and the gap series once every chain has returned.  Each file is
 written to a temporary name in the output directory and renamed into place,
 so a failed write leaves neither a partial file nor the temporary behind.
 Only replica 0 of each method takes snapshots: nothing reads those of the others.
@@ -44,12 +47,13 @@ from .diagnostics import (
     alpha_limit_check,
     epochs,
     mode_allocation,
-    posterior_similarity_matrix,
+    pair_count_blocks,
+    posterior_similarity_matrix,  # unused here; the benchmark's tracer wraps it by this name
     ssg_reference,
     time_to_converge,
 )
 from .model import Dataset, empirical_bayes_hyperparams
-from .samplers import DIG, RSG, SSG, ChainTrace, SamplerConfig, run_chain
+from .samplers import DIG, RSG, SSG, ChainError, ChainTrace, SamplerConfig, run_chain
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -71,8 +75,8 @@ _STANDARDIZE_DEFAULT = {"miller": True, "motivating5": True, "misspec4": False, 
 # its generator accepts.
 _GENERATING_K = {"miller": 3, "motivating5": 5, "misspec4": 4}
 
-# Cells per block of PSM rows turned into text at a time.
-_WRITE_BLOCK_CELLS = 1 << 16
+# Cells per block of PSM rows counted and turned into text at a time.
+_WRITE_BLOCK_CELLS = 1 << 14
 
 
 class UsageError(ValueError):
@@ -196,6 +200,25 @@ def _run_job(args):
     return run_chain(dataset, k_fit, prior, config)
 
 
+def _chain_job(job):
+    """Run one chain and write its files: its trace and, when it took snapshots, its PSM.
+
+    A chain that fails is re-raised as a :class:`ChainError` whose message
+    names its method, replica and iteration; a failed write propagates as it is.
+    """
+    args, replica, out = job
+    method = args[3].method
+    try:
+        trace = _run_job(args)
+    except ChainError as exc:
+        raise ChainError(f"{method} replica {replica}, {exc}") from exc
+    _write_trace(out / f"trace_{method.lower()}_{replica:02d}.csv", trace)
+    if trace.snapshots:
+        _write_psm(out / f"psm_{method.lower()}_{replica:02d}.csv",
+                   [trace.snapshots[t] for t in sorted(trace.snapshots)])
+    return trace
+
+
 @contextmanager
 def _atomic_open(path: Path):
     """Text file opened under a temporary name beside ``path``, renamed onto it on success."""
@@ -232,23 +255,30 @@ def _write_kv(path: Path, items):
             w.writerow([k, repr(v) if isinstance(v, float) else v])
 
 
-def _write_matrix(path: Path, psm: np.ndarray, S: int):
-    """Write a PSM of fractions k/S, byte for byte as ``np.savetxt(fmt="%.6g", delimiter=",")``.
+def _write_matrix(path: Path, counts, S: int):
+    """Write a PSM from blocks of its pair counts k, as the fractions k/S.
 
-    The matrix holds at most S + 1 distinct values, so each is formatted once
-    and every row is joined from the cached strings, a block of rows at a time.
-    (Gathering the strings through a numpy object array is faster, but it
-    raised the command's peak resident memory by about 8 MB at n=1500.)
+    ``counts`` yields blocks of consecutive rows.  The bytes are those of
+    ``np.savetxt(fmt="%.6g", delimiter=",")`` on the (n, n) matrix of k/S:
+    there are at most S + 1 distinct values, so each is formatted once, and
+    a block's strings are gathered through an object array and joined.
     """
-    cells = ["%.6g" % (k / S) for k in range(S + 1)]
-    rows = max(1, _WRITE_BLOCK_CELLS // psm.shape[1])
+    cells = np.array(["%.6g" % (k / S) for k in range(S + 1)], dtype=object)
+    r0 = 0
     with _atomic_open(path) as fh:
-        for r0 in range(0, len(psm), rows):
-            block = psm[r0:r0 + rows]
-            codes = np.rint(block * S).astype(np.intp)
-            if codes.min() < 0 or codes.max() > S or not np.array_equal(codes / S, block):
+        for block in counts:
+            with np.errstate(invalid="ignore"):     # NaN fails the check below
+                codes = block.astype(np.intp)
+            if codes.min() < 0 or codes.max() > S or not np.array_equal(codes, block):
                 raise ValueError(f"PSM rows {r0}..{r0 + len(block) - 1} hold a value that is not k/{S}")
-            fh.write("".join(",".join([cells[c] for c in row]) + "\n" for row in codes.tolist()))
+            fh.write("".join([",".join(row) + "\n" for row in cells[codes].tolist()]))
+            r0 += len(block)
+
+
+def _write_psm(path: Path, snapshots):
+    """Write the PSM of a snapshot set, counted and written a block of rows at a time."""
+    rows = max(1, _WRITE_BLOCK_CELLS // len(snapshots[0]))
+    _write_matrix(path, pair_count_blocks(snapshots, rows), len(snapshots))
 
 
 def summarize_method(
@@ -323,8 +353,9 @@ def run_experiment(spec: ExperimentSpec) -> int:
     prior = empirical_bayes_hyperparams(dataset, k_fit)
     m = spec.m if spec.m is not None else default_m(dataset.n)
 
+    out = Path(spec.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     jobs = []
-    keys = []
     for method in spec.methods:
         for rep in range(spec.replicas):
             config = SamplerConfig(
@@ -338,19 +369,18 @@ def run_experiment(spec: ExperimentSpec) -> int:
                 cll_mode=spec.cll_mode,
                 collect_discomfort_reference=(method == SSG and rep == 0),
             )
-            jobs.append((dataset, k_fit, prior, config))
-            keys.append((method, rep))
+            jobs.append(((dataset, k_fit, prior, config), rep, out))
 
     workers = spec.threads if spec.threads else (os.cpu_count() or 1)
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_run_job, jobs))
+            traces = list(pool.map(_chain_job, jobs))
     else:
-        traces = [_run_job(j) for j in jobs]
+        traces = [_chain_job(j) for j in jobs]
 
     by_method: dict[str, list[ChainTrace]] = {meth: [] for meth in spec.methods}
-    for (method, _), trace in zip(keys, traces):
-        by_method[method].append(trace)
+    for trace in traces:
+        by_method[trace.method].append(trace)
 
     # Same seed must give the same initialization block regardless of method.
     for rep in range(spec.replicas):
@@ -358,25 +388,16 @@ def run_experiment(spec: ExperimentSpec) -> int:
         if len(digests) != 1:
             raise RuntimeError(f"initial state differs across methods for replica {rep}")
 
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     reference = None
     if SSG in by_method and len(by_method[SSG]) >= 2:
         reference = ssg_reference(by_method[SSG], tail=min(spec.window, spec.iters))
 
     for method in spec.methods:
         for rep, trace in enumerate(by_method[method]):
-            _write_trace(out / f"trace_{method.lower()}_{rep:02d}.csv", trace)
             for msg in trace.warnings:
                 print(f"[{method} replica {rep}] warning: {msg}", file=sys.stderr)
         _write_kv(out / f"summary_{method.lower()}.csv",
                   summarize_method(method, by_method[method], dataset, spec, reference))
-        tr0 = by_method[method][0]
-        if tr0.snapshots:
-            snaps = [tr0.snapshots[t] for t in sorted(tr0.snapshots)]
-            _write_matrix(out / f"psm_{method.lower()}_00.csv", posterior_similarity_matrix(snaps),
-                          len(snaps))
 
     if DIG in by_method and SSG in by_method:
         ssg0 = by_method[SSG][0]

@@ -10,6 +10,10 @@ from .samplers import ChainTrace
 
 Z_THRESHOLD = 1.96
 
+# Least rows of pair counts per pass when the snapshots' indicator is rebuilt
+# chunk by chunk for each pass (see pair_count_blocks).
+_PASS_ROWS = 128
+
 
 @dataclass
 class ConvergenceReport:
@@ -106,30 +110,67 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     return float((sum_ij - expected) / (max_index - expected))
 
 
-def posterior_similarity_matrix(snapshots) -> np.ndarray:
-    """(n, n) fraction of snapshots in which each pair shares a component.
+def pair_count_blocks(snapshots, rows: int):
+    """The (n, n) pair counts of a snapshot set, as an iterator over blocks of ``rows`` rows.
 
-    Pair counts come from products of the one-hot allocation indicators,
-    one block of snapshots at a time, so a block's (n, block*K) indicator
-    holds at most half as many entries as the (n, n) result.  The counts are
-    whole numbers no larger than S, exact in float32 while S < 2**24, which
-    halves the memory of the indicator, the products and the running total;
-    the peak is about 1.5 float64 (n, n) arrays, at the final division.
+    Entry (i, j) counts the snapshots in which observations i and j share a
+    component.  Rows are counted as the product of their rows of the
+    snapshots' one-hot indicator with the whole indicator, so no (n, n) array
+    is ever held.  The counts are whole numbers no larger than S, exact in
+    float32 while S < 2**24.  The indicator is built a chunk of n // (2K)
+    snapshots at a time, at most a quarter of a float64 (n, n) array.  A
+    single chunk is built once.  More are rebuilt, one held at a time, for
+    each pass of at least ``_PASS_ROWS`` rows, which spreads the rebuilding
+    over enough products.  The snapshots are checked when this is called,
+    not when the blocks are drawn.
     """
     snaps = [np.asarray(z) for z in snapshots]
     if not snaps:
         raise ValueError("need at least one snapshot")
     S, n = len(snaps), snaps[0].size
     K = max(int(z.max()) for z in snaps) + 1
-    dtype = np.float32 if S < 2**24 else np.float64
-    eye = np.eye(K, dtype=dtype)
-    block = max(1, n // (2 * K))
-    counts = np.zeros((n, n), dtype=dtype)
-    for s0 in range(0, S, block):
-        onehot = eye[np.stack(snaps[s0:s0 + block], axis=1)].reshape(n, -1)
-        counts += onehot @ onehot.T
-        del onehot      # freed before the next block and the division
-    return np.divide(counts, S, dtype=np.float64)
+    eye = np.eye(K, dtype=np.float32 if S < 2**24 else np.float64)
+    chunk = max(1, n // (2 * K))
+    starts = range(0, S, chunk)
+
+    def indicator(s0):
+        return eye[np.stack(snaps[s0:s0 + chunk], axis=1)].reshape(n, -1)
+
+    held = indicator(0) if len(starts) == 1 else None
+    span = rows if held is not None else max(rows, _PASS_ROWS)
+
+    def blocks():
+        for r0 in range(0, n, span):
+            counts = None
+            for s0 in starts:
+                onehot = indicator(s0) if held is None else held
+                part = onehot[r0:r0 + span] @ onehot.T
+                del onehot          # freed before the next chunk is built
+                if counts is None:
+                    counts = part
+                else:
+                    counts += part
+            for i in range(0, len(counts), rows):
+                yield counts[i:i + rows]
+
+    return blocks()
+
+
+def posterior_similarity_matrix(snapshots) -> np.ndarray:
+    """(n, n) fraction of snapshots in which each pair shares a component.
+
+    The pair counts of :func:`pair_count_blocks`, each block divided by S
+    into its rows of the result.
+    """
+    snaps = list(snapshots)
+    n = np.asarray(snaps[0]).size if snaps else 0
+    blocks = pair_count_blocks(snaps, max(1, n // 8))
+    psm = np.empty((n, n))
+    r0 = 0
+    for counts in blocks:
+        np.divide(counts, len(snaps), out=psm[r0:r0 + len(counts)], dtype=np.float64)
+        r0 += len(counts)
+    return psm
 
 
 def occupied_components(z, K: int) -> tuple[int, np.ndarray]:

@@ -208,11 +208,27 @@ def complete_log_likelihood(dataset: Dataset, state: MixtureState, stats=None) -
 
 
 def sample_allocations_rows(rows: np.ndarray, rng) -> np.ndarray:
-    """Vectorised categorical draw, one per probability row."""
-    c = rows.cumsum(axis=1)
-    u = rng.random(rows.shape[0])
-    draws = (c < u[:, None]).sum(axis=1)
-    return np.minimum(draws, rows.shape[1] - 1)
+    """Vectorised categorical draw, one per probability row.
+
+    Row i draws the number of its running sums below u_i, capped at K - 1.
+    The running sum is kept as one n-vector over the first K - 1 columns,
+    added column by column as ``cumsum`` adds them, so the draws equal
+    ``np.minimum((rows.cumsum(axis=1) < u[:, None]).sum(axis=1), K - 1)``
+    bit for bit without its two (n, K) temporaries.
+    """
+    n, K = rows.shape
+    u = rng.random(n)
+    z = np.zeros(n, dtype=np.intp)
+    if K == 1:
+        return z
+    c = rows[:, 0].copy()
+    below = np.empty(n, dtype=bool)
+    for k in range(1, K):
+        np.less(c, u, out=below)
+        z += below
+        if k < K - 1:
+            np.add(c, rows[:, k], out=c)
+    return z
 
 
 def prior_constants(prior: PriorSpec, K: int):

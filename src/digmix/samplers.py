@@ -45,6 +45,11 @@ RSG = "RSG"
 DIG = "DIG"
 
 
+class ChainError(RuntimeError):
+    """Raised by :func:`run_chain` for a chain that failed, naming the iteration
+    (0 while initialising) and the cause."""
+
+
 @dataclass
 class SamplerConfig:
     method: str = DIG
@@ -360,30 +365,34 @@ def run_chain(dataset: Dataset, K: int, prior: PriorSpec, config: SamplerConfig,
         rng = np.random.default_rng(config.seed)
     n = dataset.n
     m = _resolve_m(config, n)
-    state = init_state(dataset, K, prior, rng)
-    step = _STEPS[config.method](dataset, K, m, config)
-    record = _Recorder(dataset, K, m, config, step, state)
+    t = 0
+    try:
+        state = init_state(dataset, K, prior, rng)
+        step = _STEPS[config.method](dataset, K, m, config)
+        record = _Recorder(dataset, K, m, config, step, state)
 
-    # Per-component (counts, sums, sqsums) of the current allocations, shared
-    # by the pi and mu/sigma2 draws, the trace CLL and occupancy.  A step that
-    # returns its moved rows has them moved in place, with a recompute once
-    # per epoch (ceil(n/m) iterations) to bound rounding drift; a full sweep
-    # (and every iteration at m = n) recomputes.
-    epoch = -(-n // m)
-    const = prior_constants(prior, K)
-    eye = np.eye(K)
-    stats = None
-    elapsed = clamps = 0
-    for t in range(1, config.T + 1):
-        tic = time.perf_counter_ns()
-        moved = step(t, state, rng)
-        if moved is not None and (t - 1) % epoch != 0:
-            update_sufficient_stats(stats, *moved, eye)
-        else:
-            stats = component_sufficient_stats(dataset, state.z, K)
-        state.pi = sample_mixture_weights(state, prior, rng, stats, const)
-        state.mu, state.sigma2, c = sample_component_params(dataset, state, prior, rng, stats, const)
-        clamps += c
-        elapsed += time.perf_counter_ns() - tic
-        record(t, state, stats, elapsed)
-    return record.finish(clamps)
+        # Per-component (counts, sums, sqsums) of the current allocations, shared
+        # by the pi and mu/sigma2 draws, the trace CLL and occupancy.  A step that
+        # returns its moved rows has them moved in place, with a recompute once
+        # per epoch (ceil(n/m) iterations) to bound rounding drift; a full sweep
+        # (and every iteration at m = n) recomputes.
+        epoch = -(-n // m)
+        const = prior_constants(prior, K)
+        eye = np.eye(K)
+        stats = None
+        elapsed = clamps = 0
+        for t in range(1, config.T + 1):
+            tic = time.perf_counter_ns()
+            moved = step(t, state, rng)
+            if moved is not None and (t - 1) % epoch != 0:
+                update_sufficient_stats(stats, *moved, eye)
+            else:
+                stats = component_sufficient_stats(dataset, state.z, K)
+            state.pi = sample_mixture_weights(state, prior, rng, stats, const)
+            state.mu, state.sigma2, c = sample_component_params(dataset, state, prior, rng, stats, const)
+            clamps += c
+            elapsed += time.perf_counter_ns() - tic
+            record(t, state, stats, elapsed)
+        return record.finish(clamps)
+    except Exception as exc:
+        raise ChainError(f"iteration {t}: {type(exc).__name__}: {exc}") from exc

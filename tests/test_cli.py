@@ -5,15 +5,17 @@ import filecmp
 import hashlib
 import io
 import os
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from digmix import cli
+from digmix import cli, samplers
 from digmix.cli import (
     EXIT_IO,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     ExperimentSpec,
@@ -210,9 +212,7 @@ GOLDEN_DIGESTS = {
 }
 
 
-def test_golden_output_digests(tmp_path):
-    out = tmp_path / "run"
-    assert main([*GOLDEN_ARGS, "--out-dir", str(out)]) == EXIT_OK
+def output_digests(out):
     digests = {}
     for p in sorted(out.iterdir()):
         if p.name.startswith("summary_"):
@@ -223,10 +223,23 @@ def test_golden_output_digests(tmp_path):
             data = "".join(",".join(c for i, c in enumerate(line.split(",")) if i != 1)
                            for line in lines).encode()
         digests[p.name] = hashlib.sha256(data).hexdigest()
-    assert digests == GOLDEN_DIGESTS
+    return digests
 
 
-def random_psm(n, K, S, seed=0):
+def test_golden_output_digests(tmp_path):
+    out = tmp_path / "run"
+    assert main([*GOLDEN_ARGS, "--out-dir", str(out)]) == EXIT_OK
+    assert output_digests(out) == GOLDEN_DIGESTS
+
+
+def test_golden_output_digests_in_pool(tmp_path):
+    # Pool workers write their own chains' files; the later --threads wins.
+    out = tmp_path / "run"
+    assert main([*GOLDEN_ARGS, "--threads", "2", "--out-dir", str(out)]) == EXIT_OK
+    assert output_digests(out) == GOLDEN_DIGESTS
+
+
+def random_snapshots(n, K, S, seed=0):
     rng = np.random.default_rng(seed)
     base = rng.integers(0, K, n)
     snaps = []
@@ -234,39 +247,51 @@ def random_psm(n, K, S, seed=0):
         z = base.copy()
         moved = rng.random(n) < 0.3
         z[moved] = rng.integers(0, K, moved.sum())
-        snaps.append(z)
-    return posterior_similarity_matrix(snaps)
+        snaps.append(z.astype(np.int32))
+    return snaps
 
 
-@pytest.mark.parametrize("n,K,S", [(1, 1, 1), (5, 2, 1), (37, 3, 7), (200, 20, 60), (1500, 3, 60)])
+@pytest.mark.parametrize("n,K,S", [(1, 1, 1), (5, 2, 1), (37, 3, 7), (200, 20, 60), (1500, 3, 60),
+                                   (12, 8, 40)])
 def test_write_matrix_matches_savetxt(tmp_path, n, K, S):
-    psm = random_psm(n, K, S)
+    # (200, 20, 60) and (12, 8, 40) have S*K > n, so the indicator is rebuilt in
+    # chunks for every block; (1500, 3, 60) spans many blocks of rows.
+    snaps = random_snapshots(n, K, S)
     buf = io.BytesIO()
-    np.savetxt(buf, psm, delimiter=",", fmt="%.6g")
+    np.savetxt(buf, posterior_similarity_matrix(snaps), delimiter=",", fmt="%.6g")
     path = tmp_path / "psm.csv"
-    cli._write_matrix(path, psm, S)
+    cli._write_psm(path, snaps)
     assert path.read_bytes() == buf.getvalue()
     assert [p.name for p in tmp_path.iterdir()] == ["psm.csv"]
+    # The writer takes blocks of any height, the whole matrix included.
+    counts = np.rint(posterior_similarity_matrix(snaps) * S)
+    for rows in (1, 7, n):
+        cli._write_matrix(path, (counts[r0:r0 + rows] for r0 in range(0, n, rows)), S)
+        assert path.read_bytes() == buf.getvalue()
 
 
 def test_write_matrix_peak_memory(tmp_path):
-    psm = random_psm(1500, 3, 60)
+    # The command's PSM path, from snapshots to file, against one float64 (n, n) array.
+    n, K, S = 1500, 3, 60
+    snaps = random_snapshots(n, K, S)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        cli._write_matrix(tmp_path / "psm.csv", psm, 60)
+        cli._write_psm(tmp_path / "psm.csv", snaps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < psm.nbytes / 4
+    assert peak < 0.1 * n * n * 8
 
 
 def test_write_matrix_rejects_values_off_the_grid(tmp_path):
-    psm = random_psm(300, 3, 7)
-    psm[250, 3] = 0.5           # not k/7, in the second block of rows
-    with pytest.raises(ValueError, match="k/7"):
-        cli._write_matrix(tmp_path / "psm.csv", psm, 7)
-    assert list(tmp_path.iterdir()) == []
+    counts = np.rint(posterior_similarity_matrix(random_snapshots(300, 3, 7)) * 7)
+    for bad in (3.5, -1.0, 8.0, np.nan):
+        blocks = counts.copy()
+        blocks[250, 3] = bad        # not k/7 for k in 0..7, in the second block of rows
+        with pytest.raises(ValueError, match="rows 200..299 .*k/7"):
+            cli._write_matrix(tmp_path / "psm.csv", (blocks[:200], blocks[200:]), 7)
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("target", ["trace_dig_01.csv", "summary_ssg.csv", "psm_dig_00.csv",
@@ -440,3 +465,70 @@ def test_main_rejects_m_outside_range(tmp_path, capsys, m):
     assert not out.exists() or not any(out.glob("trace_*.csv"))
     # SSG-only runs ignore --m.
     assert main(["--n", "60", "--methods", "ssg", "--snapshot-every", "0", *base]) == EXIT_OK
+
+
+@pytest.mark.parametrize("threads", [1, 2], ids=["in-process", "pool"])
+def test_chain_failure_exits_4_naming_the_chain(tmp_path, monkeypatch, capsys, threads):
+    # Patched before the pool forks, so the workers inherit it.  It fails in
+    # DIG replica 1 (seed 1), the last job, at iteration 37.
+    real = samplers.sample_component_params
+
+    def failing(*args, **kwargs):
+        chain = sys._getframe(1).f_locals          # run_chain's frame
+        if chain["config"].method == "DIG" and chain["config"].seed == 1 and chain["t"] == 37:
+            raise FloatingPointError("overflow in the variance draw")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(samplers, "sample_component_params", failing)
+    out = tmp_path / "run"
+    iters = 60
+    code = main(["--n", "80", "--methods", "ssg,dig", "--replicas", "2", "--iters", str(iters),
+                 "--window", "20", "--m", "4", "--threads", str(threads), "--out-dir", str(out)])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: DIG replica 1, iteration 37: FloatingPointError: overflow in the variance draw"]
+    # Every job before the failing one finished and its files are whole; the
+    # parent's files (summaries, gap series) are not written.
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["psm_dig_00.csv", "psm_ssg_00.csv", "trace_dig_00.csv", "trace_ssg_00.csv",
+                     "trace_ssg_01.csv"]
+    for name in names:
+        if name.startswith("trace_"):
+            assert len(read_trace(out / name)) == iters
+        else:
+            psm = np.loadtxt(out / name, delimiter=",")
+            assert psm.shape == (80, 80) and np.all(np.diag(psm) == 1.0)
+
+
+def test_failed_write_in_worker_leaves_no_partial_file(tmp_path, monkeypatch):
+    # The pool path of test_failed_write_leaves_no_partial_file: a worker's
+    # failed PSM write reaches the parent as the I/O error it is.
+    def failing_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if Path(path).name.startswith(".psm_dig_00.csv."):
+            fh.write("0,1\n")
+            fh.close()
+            raise OSError("no space left on device")
+        return fh
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    out = tmp_path / "out"
+    assert main(["--n", "80", "--methods", "ssg,dig", "--replicas", "2", "--iters", "60",
+                 "--window", "20", "--m", "4", "--threads", "2", "--out-dir", str(out)]) == EXIT_IO
+    names = [p.name for p in out.iterdir()]
+    assert "psm_dig_00.csv" not in names and "psm_ssg_00.csv" in names
+    assert not [name for name in names if name.startswith(".") or name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("flags", [["--n", "40", "--k-fit", "1", "--m", "4"],
+                                   ["--n", "5", "--k-fit", "8", "--m", "5"]], ids=["K=1", "K>n"])
+def test_command_edge_cases(tmp_path, flags):
+    out = tmp_path / "run"
+    assert main([*flags, "--iters", "80", "--window", "20", "--replicas", "2", "--snapshot-every", "5",
+                 "--threads", "1", "--out-dir", str(out)]) == EXIT_OK
+    n = int(flags[1])
+    for method in ("ssg", "rsg", "dig"):
+        psm = np.loadtxt(out / f"psm_{method}_00.csv", delimiter=",", ndmin=2)
+        assert psm.shape == (n, n) and np.all(np.diag(psm) == 1.0) and np.array_equal(psm, psm.T)
+        if flags[3] == "1":
+            assert np.all(psm == 1.0)

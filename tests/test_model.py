@@ -158,6 +158,33 @@ def test_sample_allocation_distribution():
     assert np.all(np.abs(freq - probs) < 4 * np.sqrt(probs * (1 - probs) / draws.size))
 
 
+def cumsum_draws(rows, u):
+    """The categorical draw as a cumulative sum and an (n, K) comparison."""
+    return np.minimum((rows.cumsum(axis=1) < u[:, None]).sum(axis=1), rows.shape[1] - 1)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 20])
+def test_sample_allocations_rows_matches_cumsum_oracle(K):
+    rng = np.random.default_rng(K)
+    rows = rng.dirichlet(np.full(K, 0.5), 5000)
+    # Rows whose total falls short of 1: some u lie above the whole sum, where
+    # the draw is capped at K - 1.
+    rows[::7] *= 0.5
+    rows[1::7] *= 1 - 1e-12
+    u = np.random.default_rng(99).random(len(rows))
+    assert np.any(u > rows.sum(axis=1))
+    draws = sample_allocations_rows(rows, np.random.default_rng(99))
+    expect = cumsum_draws(rows, u)
+    assert draws.dtype == expect.dtype
+    np.testing.assert_array_equal(draws, expect)
+    # One u per row is drawn, K = 1 included, so the stream goes on unchanged.
+    after = np.random.default_rng(99)
+    after.random(len(rows))
+    rng_used = np.random.default_rng(99)
+    sample_allocations_rows(rows, rng_used)
+    assert rng_used.random() == after.random()
+
+
 # ---------------------------------------------------------------- conjugate updates
 
 def test_dirichlet_posterior_moments():

@@ -5,7 +5,7 @@ import pytest
 
 from digmix import samplers
 from digmix.datagen import gen_miller_harrison
-from digmix.model import empirical_bayes_hyperparams
+from digmix.model import VARIANCE_FLOOR, Dataset, PriorSpec, empirical_bayes_hyperparams
 from digmix.samplers import (
     DIG,
     RSG,
@@ -253,3 +253,74 @@ def test_dig_cached_discomfort_matches_fresh(monkeypatch, m):
     T = 2000
     run_chain(ds, 3, prior, SamplerConfig(method=DIG, T=T, m=m, seed=3, snapshot_every=0))
     assert checked[0] == T
+
+
+# ---------------------------------------------------------------- edge cases
+
+def edge_case(name):
+    """(dataset, K, prior) of one degenerate setting."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((40, 2))
+    if name == "K=1":
+        ds, K = Dataset(x=x), 1
+    elif name == "K>n":
+        ds, K = Dataset(x=x[:5]), 8
+    elif name == "duplicate-rows":
+        ds, K = Dataset(x=np.repeat(x[:10], 4, axis=0)), 3
+    else:
+        # Half the points sit on one spot, and a variance prior at 1e-14 lets
+        # the component holding them draw variances below the floor.
+        ds = Dataset(x=np.vstack([np.zeros((20, 2)), x[:20]]))
+        return ds, 2, PriorSpec(m0=np.zeros(2), tau2=1.0, alpha_sigma=2.0, beta_sigma=1e-14)
+    return ds, K, empirical_bayes_hyperparams(ds, K)
+
+
+@pytest.mark.parametrize("method,m", [(SSG, None), (RSG, 3), (RSG, "n"), (DIG, 3), (DIG, "n")])
+@pytest.mark.parametrize("name", ["K=1", "K>n", "duplicate-rows", "collapsed-component"])
+def test_edge_cases_run_every_method(name, method, m):
+    ds, K, prior = edge_case(name)
+    m = ds.n if m == "n" else m
+    T = 400
+    tr = run_chain(ds, K, prior, SamplerConfig(method=method, T=T, m=m, seed=2, snapshot_every=10))
+    assert np.all(np.isfinite(tr.cll))
+    assert tr.m == (ds.n if method == SSG else m)
+    assert tr.allocation_draws == T * tr.m
+    st = tr.final_state
+    assert st.z.shape == (ds.n,) and 0 <= st.z.min() and st.z.max() < K
+    assert st.pi.shape == (K,) and st.pi.sum() == pytest.approx(1.0)
+    assert np.all(st.sigma2 >= VARIANCE_FLOOR) and np.all(np.isfinite(st.mu))
+    assert np.all((1 <= tr.occupied) & (tr.occupied <= min(K, ds.n)))
+    if K == 1:
+        assert not st.z.any()
+    if method == DIG:
+        assert np.all(tr.lam >= 1.0) and np.all(np.isfinite(tr.ess))
+        assert tr.alpha_snapshots[T].sum() == pytest.approx(1.0)
+    if name == "collapsed-component":
+        assert tr.variance_clamps > 0
+        assert f"variance draws clamped at the floor {tr.variance_clamps} time(s)" in tr.warnings
+        assert np.any(st.sigma2 == VARIANCE_FLOOR)
+    else:
+        assert tr.variance_clamps == 0
+
+
+def test_duplicate_rows_leave_the_prior_unchanged():
+    ds, K, prior = edge_case("duplicate-rows")
+    once = empirical_bayes_hyperparams(Dataset(x=ds.x[::4]), K)
+    np.testing.assert_allclose(prior.m0, once.m0, rtol=1e-12, atol=1e-15)
+    assert (prior.tau2, prior.beta_sigma) == pytest.approx((once.tau2, once.beta_sigma), rel=1e-12)
+
+
+def test_failing_iteration_is_named(monkeypatch):
+    ds, prior = small_problem()
+    real = samplers.sample_component_params
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 5:
+            raise FloatingPointError("overflow")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(samplers, "sample_component_params", failing)
+    with pytest.raises(samplers.ChainError, match=r"^iteration 5: FloatingPointError: overflow$"):
+        run(DIG, ds, prior, T=20, m=4, seed=0)
