@@ -75,10 +75,6 @@ _STANDARDIZE_DEFAULT = {"miller": True, "motivating5": True, "misspec4": False, 
 # its generator accepts.
 _GENERATING_K = {"miller": 3, "motivating5": 5, "misspec4": 4}
 
-# Cells per block of PSM rows counted and turned into text at a time.
-_WRITE_BLOCK_CELLS = 1 << 14
-
-
 class UsageError(ValueError):
     """An invalid flag value that shows only once the data are loaded."""
 
@@ -203,8 +199,9 @@ def _run_job(args):
 def _chain_job(job):
     """Run one chain and write its files: its trace and, when it took snapshots, its PSM.
 
-    A chain that fails is re-raised as a :class:`ChainError` whose message
-    names its method, replica and iteration; a failed write propagates as it is.
+    A chain whose numerical step fails is re-raised as a :class:`ChainError`
+    whose message names its method, replica and iteration; any other error,
+    a failed write included, propagates as it is.
     """
     args, replica, out = job
     method = args[3].method
@@ -261,24 +258,23 @@ def _write_matrix(path: Path, counts, S: int):
     ``counts`` yields blocks of consecutive rows.  The bytes are those of
     ``np.savetxt(fmt="%.6g", delimiter=",")`` on the (n, n) matrix of k/S:
     there are at most S + 1 distinct values, so each is formatted once, and
-    a block's strings are gathered through an object array and joined.
+    each row's strings are gathered through an object array and joined.
     """
     cells = np.array(["%.6g" % (k / S) for k in range(S + 1)], dtype=object)
     r0 = 0
     with _atomic_open(path) as fh:
         for block in counts:
-            with np.errstate(invalid="ignore"):     # NaN fails the check below
-                codes = block.astype(np.intp)
-            if codes.min() < 0 or codes.max() > S or not np.array_equal(codes, block):
+            # A NaN fails the first comparison.
+            if not (block.min() >= 0 and block.max() <= S and np.array_equal(np.rint(block), block)):
                 raise ValueError(f"PSM rows {r0}..{r0 + len(block) - 1} hold a value that is not k/{S}")
-            fh.write("".join([",".join(row) + "\n" for row in cells[codes].tolist()]))
+            for row in block:
+                fh.write(",".join(cells[row.astype(np.intp)].tolist()) + "\n")
             r0 += len(block)
 
 
 def _write_psm(path: Path, snapshots):
     """Write the PSM of a snapshot set, counted and written a block of rows at a time."""
-    rows = max(1, _WRITE_BLOCK_CELLS // len(snapshots[0]))
-    _write_matrix(path, pair_count_blocks(snapshots, rows), len(snapshots))
+    _write_matrix(path, pair_count_blocks(snapshots), len(snapshots))
 
 
 def summarize_method(

@@ -46,8 +46,13 @@ DIG = "DIG"
 
 
 class ChainError(RuntimeError):
-    """Raised by :func:`run_chain` for a chain that failed, naming the iteration
-    (0 while initialising) and the cause."""
+    """Raised by :func:`run_chain` for a chain whose numerical step failed,
+    naming the iteration (0 while initialising) and the cause."""
+
+
+# The failures of a numerical step, re-raised as a ChainError.  Any other
+# exception (a TypeError, a MemoryError) propagates as it is.
+_NUMERICAL_ERRORS = (ArithmeticError, ValueError, np.linalg.LinAlgError)
 
 
 @dataclass
@@ -394,5 +399,5 @@ def run_chain(dataset: Dataset, K: int, prior: PriorSpec, config: SamplerConfig,
             elapsed += time.perf_counter_ns() - tic
             record(t, state, stats, elapsed)
         return record.finish(clamps)
-    except Exception as exc:
+    except _NUMERICAL_ERRORS as exc:
         raise ChainError(f"iteration {t}: {type(exc).__name__}: {exc}") from exc

@@ -4,6 +4,7 @@ import csv
 import filecmp
 import hashlib
 import io
+import multiprocessing
 import os
 import sys
 import tracemalloc
@@ -27,6 +28,12 @@ from digmix.cli import (
     spec_from_args,
 )
 from digmix.diagnostics import posterior_similarity_matrix
+
+# A test that patches the parent before its pool starts reaches the workers
+# only when they are forked (not the default from Python 3.14 on).
+needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                reason="pool workers are not forked, so they miss the patch")
+POOL_THREADS = [pytest.param(1, id="in-process"), pytest.param(2, id="pool", marks=needs_fork)]
 
 
 def read_kv(path):
@@ -254,8 +261,8 @@ def random_snapshots(n, K, S, seed=0):
 @pytest.mark.parametrize("n,K,S", [(1, 1, 1), (5, 2, 1), (37, 3, 7), (200, 20, 60), (1500, 3, 60),
                                    (12, 8, 40)])
 def test_write_matrix_matches_savetxt(tmp_path, n, K, S):
-    # (200, 20, 60) and (12, 8, 40) have S*K > n, so the indicator is rebuilt in
-    # chunks for every block; (1500, 3, 60) spans many blocks of rows.
+    # (200, 20, 60) and (12, 8, 40) have S*K > n; (1500, 3, 60) spans many
+    # blocks of rows and many tiles of columns in each.
     snaps = random_snapshots(n, K, S)
     buf = io.BytesIO()
     np.savetxt(buf, posterior_similarity_matrix(snaps), delimiter=",", fmt="%.6g")
@@ -467,7 +474,7 @@ def test_main_rejects_m_outside_range(tmp_path, capsys, m):
     assert main(["--n", "60", "--methods", "ssg", "--snapshot-every", "0", *base]) == EXIT_OK
 
 
-@pytest.mark.parametrize("threads", [1, 2], ids=["in-process", "pool"])
+@pytest.mark.parametrize("threads", POOL_THREADS)
 def test_chain_failure_exits_4_naming_the_chain(tmp_path, monkeypatch, capsys, threads):
     # Patched before the pool forks, so the workers inherit it.  It fails in
     # DIG replica 1 (seed 1), the last job, at iteration 37.
@@ -500,6 +507,19 @@ def test_chain_failure_exits_4_naming_the_chain(tmp_path, monkeypatch, capsys, t
             assert psm.shape == (80, 80) and np.all(np.diag(psm) == 1.0)
 
 
+@pytest.mark.parametrize("threads", POOL_THREADS)
+def test_programming_error_in_a_chain_propagates(tmp_path, monkeypatch, threads):
+    # Only numerical failures exit 4; a bug reaches the caller with its own type.
+    def broken(*args, **kwargs):
+        raise TypeError("unexpected argument")
+
+    monkeypatch.setattr(samplers, "sample_component_params", broken)
+    with pytest.raises(TypeError, match="unexpected argument"):
+        main(["--n", "80", "--methods", "ssg,dig", "--replicas", "2", "--iters", "20",
+              "--window", "10", "--m", "4", "--threads", str(threads), "--out-dir", str(tmp_path / "run")])
+
+
+@needs_fork
 def test_failed_write_in_worker_leaves_no_partial_file(tmp_path, monkeypatch):
     # The pool path of test_failed_write_leaves_no_partial_file: a worker's
     # failed PSM write reaches the parent as the I/O error it is.

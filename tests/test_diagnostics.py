@@ -181,16 +181,17 @@ def psm_loop(snapshots):
 
 @pytest.mark.parametrize("n,S,K", [(12, 40, 3), (30, 7, 5), (9, 50, 20), (200, 60, 3)])
 def test_psm_matches_loop_exactly(n, S, K):
-    # (9, 50, 20): K > n gives one snapshot per block; (12, 40, 3) spans twenty blocks.
+    # (9, 50, 20) has K > n; (200, 60, 3) spans four blocks of rows, the last one partial.
     rng = np.random.default_rng(n * S)
     snaps = [rng.integers(0, K, n).astype(np.int32) for _ in range(S)]
     np.testing.assert_array_equal(posterior_similarity_matrix(snaps), psm_loop(snaps))
 
 
 def test_psm_peak_memory_below_loop():
-    # The command line's default shape (n=1000, 500 snapshots, K=3) spans
-    # four blocks.  The loop peaks at two float64 (n, n) arrays (the sum and
-    # its quotient); the blocked product stays near one and a half.
+    # The command line's default shape (n=1000, 500 snapshots, K=3).  The loop
+    # peaks at two float64 (n, n) arrays (the sum and its quotient); the
+    # streamed counts add only the uint8 indicator and a block of rows to the
+    # (n, n) result.
     n, S, K = 1000, 500, 3
     rng = np.random.default_rng(0)
     snaps = [rng.integers(0, K, n).astype(np.int32) for _ in range(S)]

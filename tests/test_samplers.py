@@ -310,7 +310,9 @@ def test_duplicate_rows_leave_the_prior_unchanged():
     assert (prior.tau2, prior.beta_sigma) == pytest.approx((once.tau2, once.beta_sigma), rel=1e-12)
 
 
-def test_failing_iteration_is_named(monkeypatch):
+@pytest.mark.parametrize("error", [FloatingPointError, ZeroDivisionError, OverflowError, ValueError,
+                                   np.linalg.LinAlgError])
+def test_failing_iteration_is_named(monkeypatch, error):
     ds, prior = small_problem()
     real = samplers.sample_component_params
     calls = []
@@ -318,9 +320,23 @@ def test_failing_iteration_is_named(monkeypatch):
     def failing(*args, **kwargs):
         calls.append(1)
         if len(calls) == 5:
-            raise FloatingPointError("overflow")
+            raise error("overflow")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(samplers, "sample_component_params", failing)
-    with pytest.raises(samplers.ChainError, match=r"^iteration 5: FloatingPointError: overflow$"):
+    with pytest.raises(samplers.ChainError, match=rf"^iteration 5: {error.__name__}: overflow$") as info:
         run(DIG, ds, prior, T=20, m=4, seed=0)
+    assert type(info.value.__cause__) is error
+
+
+@pytest.mark.parametrize("error", [TypeError, IndexError, KeyError, AttributeError, MemoryError])
+def test_programming_errors_propagate_unwrapped(monkeypatch, error):
+    ds, prior = small_problem()
+
+    def broken(*args, **kwargs):
+        raise error("not a numerical failure")
+
+    monkeypatch.setattr(samplers, "sample_component_params", broken)
+    with pytest.raises(error, match="not a numerical failure") as info:
+        run(DIG, ds, prior, T=20, m=4, seed=0)
+    assert type(info.value) is error
