@@ -28,7 +28,6 @@ from .datagen import (
     gen_motivating5,
     load_csv,
     standardize,
-    unstandardize,
 )
 from .diagnostics import (
     ConvergenceReport,
@@ -36,7 +35,6 @@ from .diagnostics import (
     alpha_limit_check,
     epochs,
     mode_allocation,
-    occupied_components,
     posterior_similarity_matrix,
     ssg_reference,
     time_to_converge,
@@ -75,10 +73,9 @@ __all__ = [
     "empirical_bayes_hyperparams", "epochs", "ess", "gen_miller_harrison",
     "gen_misspec4", "gen_motivating5", "init_state", "lambda_schedule",
     "load_csv", "log_component_density", "log_density_matrix", "main",
-    "mode_allocation", "occupied_components", "posterior_similarity_matrix",
+    "mode_allocation", "posterior_similarity_matrix",
     "refresh_responsibilities", "run_chain", "run_experiment",
     "sample_component_params", "sample_mixture_weights",
     "sample_without_replacement", "solve_lambda", "ssg_reference",
-    "standardize", "time_to_converge", "transition_point", "unstandardize",
-    "weight_pair",
+    "standardize", "time_to_converge", "transition_point", "weight_pair",
 ]

@@ -170,7 +170,7 @@ def weight_pair(t: int, schedule: WeightSchedule) -> tuple[float, float]:
     return f, g
 
 
-def transition_point(n: int, K: int, m: float, quantile_z: float = Z_99) -> int:
+def transition_point(n: int, K: int, m: float) -> int:
     """Iteration at which greedy adaptation hands over to diminishing decay.
 
     Negative-binomial waiting-time heuristic: mean n(K-1), sd sqrt(nK(K-1)),
@@ -181,7 +181,7 @@ def transition_point(n: int, K: int, m: float, quantile_z: float = Z_99) -> int:
         return 1
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
-    raw = (n * (K - 1) + math.sqrt(n * K * (K - 1)) * quantile_z) / m
+    raw = (n * (K - 1) + math.sqrt(n * K * (K - 1)) * Z_99) / m
     return max(1, math.ceil(raw))
 
 

@@ -43,6 +43,7 @@ from .datagen import (
     standardize,
 )
 from .diagnostics import (
+    MIN_REFERENCE_SAMPLES,
     adjusted_rand_index,
     alpha_limit_check,
     epochs,
@@ -125,6 +126,8 @@ class ExperimentSpec:
         for meth in self.methods:
             if meth not in (SSG, RSG, DIG):
                 raise ValueError(f"unknown method: {meth}")
+            if self.methods.count(meth) > 1:
+                raise ValueError(f"method given more than once: {meth}")
         if self.replicas < 1:
             raise ValueError("need --replicas >= 1")
         if self.iters < 1:
@@ -398,7 +401,10 @@ def run_experiment(spec: ExperimentSpec) -> int:
     if DIG in by_method and SSG in by_method:
         ssg0 = by_method[SSG][0]
         dig0 = by_method[DIG][0]
-        if ssg0.discomfort_reference is not None and dig0.alpha_snapshots:
+        if ssg0.discomfort_reference_count < MIN_REFERENCE_SAMPLES:
+            print(f"warning: alpha_gap.csv not written: {ssg0.discomfort_reference_count} post-burn-in "
+                  f"SSG reference samples, fewer than {MIN_REFERENCE_SAMPLES}", file=sys.stderr)
+        elif dig0.alpha_snapshots:
             gaps = alpha_limit_check(dig0, ssg0)
             with _atomic_open(out / "alpha_gap.csv") as fh:
                 w = csv.writer(fh)

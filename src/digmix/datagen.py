@@ -129,7 +129,7 @@ def load_csv(path, has_header: bool = True, label_column=None) -> Dataset:
     if label_idx is None:
         return Dataset(x=values)
     labels = values[:, label_idx]
-    if not np.allclose(labels, np.round(labels)):
+    if not np.array_equal(labels, np.round(labels)):
         raise CsvError("label column must be integer-valued")
     x = np.delete(values, label_idx, axis=1)
     return Dataset(x=x, labels=labels.astype(int))
@@ -147,9 +147,3 @@ def standardize(dataset: Dataset):
         raise ValueError("degenerate column")
     x = (dataset.x - mean) / sd
     return Dataset(x=x, labels=dataset.labels), (mean, sd)
-
-
-def unstandardize(dataset: Dataset, params) -> Dataset:
-    """Inverse of :func:`standardize`."""
-    mean, sd = params
-    return Dataset(x=dataset.x * sd + mean, labels=dataset.labels)

@@ -9,6 +9,7 @@ import numpy as np
 from .samplers import ChainTrace
 
 Z_THRESHOLD = 1.96
+MIN_REFERENCE_SAMPLES = 10      # post-burn-in discomfort samples alpha_limit_check needs
 
 # Rows of pair counts per block, and columns per product within a block.
 # Each block widens the whole uint8 indicator to float once, a tile at a
@@ -27,8 +28,6 @@ class ConvergenceReport:
     t2c_iteration: int | None
     t2c_seconds: float | None
     window: int = 1000
-    # Assumed z denominator, recorded explicitly since it is a convention.
-    z_formula: str = "(window_mean - ref_mean) / sqrt(window_var/window + ref_var)"
 
 
 def ssg_reference(traces: list[ChainTrace], tail: int = 1000) -> tuple[float, float]:
@@ -53,7 +52,6 @@ def time_to_converge(
     trace: ChainTrace,
     reference: tuple[float, float],
     window: int = 1000,
-    threshold: float = Z_THRESHOLD,
 ) -> ConvergenceReport:
     """First sliding-window z-test pass against the reference CLL level.
 
@@ -77,7 +75,7 @@ def time_to_converge(
     diff = wmean - ref_mean
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(denom > 0, diff / denom, np.where(diff == 0, 0.0, np.inf))
-    hits = np.nonzero(np.abs(z) < threshold)[0]
+    hits = np.nonzero(np.abs(z) < Z_THRESHOLD)[0]
     if hits.size == 0:
         return ConvergenceReport(ref_mean, ref_var, None, None, window)
     t = int(ends[hits[0]])
@@ -168,13 +166,6 @@ def posterior_similarity_matrix(snapshots) -> np.ndarray:
     return psm
 
 
-def occupied_components(z, K: int) -> tuple[int, np.ndarray]:
-    """Count of non-empty components and the per-component occupancy proportions."""
-    z = np.asarray(z)
-    counts = np.bincount(z, minlength=K)
-    return int(np.count_nonzero(counts)), counts / z.size
-
-
 def epochs(iteration, n: int, m: int) -> float:
     """Work-normalised iteration count: one epoch is n/m iterations."""
     if m < 1:
@@ -202,7 +193,7 @@ def alpha_limit_check(
     at decay 1), estimated from the second half of a long systematic-scan run.
     Returns {checkpoint iteration: gap}.
     """
-    if ssg_trace.discomfort_reference is None or ssg_trace.discomfort_reference_count < 10:
+    if ssg_trace.discomfort_reference_count < MIN_REFERENCE_SAMPLES:     # 0 when not collected
         raise ValueError("reference chain lacks enough post-burn-in discomfort samples")
     if not dig_trace.alpha_snapshots:
         raise ValueError("adaptive chain recorded no selection-weight snapshots")

@@ -9,8 +9,7 @@ All samplers share the operations here.  The model is
     sigma2_kj             ~ InverseGamma(alpha_sigma, beta_sigma)
 
 with mu and sigma2 given independent priors, updated by semi-conjugate
-sub-steps (mu | sigma2 then sigma2 | mu).  A spherical option ties
-sigma2 across dimensions within a component by pooling residuals.
+sub-steps (mu | sigma2 then sigma2 | mu).
 """
 
 from __future__ import annotations
@@ -80,7 +79,6 @@ class PriorSpec:
     alpha_sigma: float
     beta_sigma: float
     a: float = 1.0
-    spherical: bool = False
 
     def __post_init__(self):
         self.m0 = np.atleast_1d(np.asarray(self.m0, dtype=float))
@@ -236,16 +234,12 @@ def prior_constants(prior: PriorSpec, K: int):
     return prior.a / K, 1.0 / prior.tau2, prior.m0 / prior.tau2
 
 
-def sample_mixture_weights(state: MixtureState, prior: PriorSpec, rng, stats=None, const=None) -> np.ndarray:
+def sample_mixture_weights(rng, stats, const) -> np.ndarray:
     """Dirichlet(a/K + n_1, ..., a/K + n_K) draw given the allocations.
 
-    The counts are taken from ``stats`` (see :func:`component_sufficient_stats`)
-    when given, else counted from ``state.z``; ``const`` is
-    :func:`prior_constants`' tuple, computed here when not given.
+    The counts come from ``stats`` and a/K from ``const`` (:func:`prior_constants`).
     """
-    counts = np.bincount(state.z, minlength=state.K) if stats is None else stats[0]
-    a_k = prior.a / state.K if const is None else const[0]
-    pi = rng.dirichlet(a_k + counts)
+    pi = rng.dirichlet(const[0] + stats[0])
     # Guard against exact zeros from extreme Dirichlet draws.
     np.maximum(pi, 1e-300, out=pi)
     pi /= pi.sum()
@@ -265,17 +259,15 @@ def component_sufficient_stats(dataset: Dataset, z: np.ndarray, K: int):
 
 
 def update_sufficient_stats(stats, x_rows: np.ndarray, z_old: np.ndarray, z_new: np.ndarray,
-                            x_rows_sq=None, eye=None):
+                            x_rows_sq=None, *, eye: np.ndarray):
     """Move rows ``x_rows`` from components ``z_old`` to ``z_new`` in ``stats``, in place.
 
     Each row must appear once.  Costs O(md + Kd) for m rows: the one-hot
     difference matrix (zero on rows that stay) enters two (K, m) x (m, d)
-    products.  Repeated callers pass ``x_rows * x_rows`` when they hold it
-    and ``np.eye(K)``, built once; whatever is left out is computed.
+    products.  ``eye`` is ``np.eye(K)``, built once by the caller; callers
+    that hold ``x_rows * x_rows`` pass it, else it is computed.
     """
     counts, sums, sqsums = stats
-    if eye is None:
-        eye = np.eye(counts.size)
     if x_rows_sq is None:
         x_rows_sq = x_rows * x_rows
     diff = eye.take(z_new, axis=0)     # take gathers rows faster than eye[z_new]
@@ -291,41 +283,30 @@ def update_sufficient_stats(stats, x_rows: np.ndarray, z_old: np.ndarray, z_new:
         sqsums[empty] = 0.0
 
 
-def sample_component_params(dataset: Dataset, state: MixtureState, prior: PriorSpec, rng, stats=None,
-                            const=None):
+def sample_component_params(state: MixtureState, prior: PriorSpec, rng, stats, const):
     """One semi-conjugate sweep: mu | sigma2 then sigma2 | mu, all components.
 
-    ``stats`` are the ``(counts, sums, sqsums)`` of ``state.z``, recomputed
-    from the data when not given; ``const`` is :func:`prior_constants`'
-    tuple, likewise.  Empty components fall through to prior draws.  Returns
-    (mu, sigma2, clamp_events) where clamp_events counts variance draws
-    hitting the floor.
+    ``stats`` are the ``(counts, sums, sqsums)`` of ``state.z`` and ``const``
+    is :func:`prior_constants`' tuple.  Empty components fall through to
+    prior draws.  Returns (mu, sigma2, clamp_events) where clamp_events
+    counts variance draws hitting the floor.
     """
-    K = state.K
-    if stats is None:
-        stats = component_sufficient_stats(dataset, state.z, K)
-    _, tau2_inv, m0_tau2 = prior_constants(prior, K) if const is None else const
+    _, tau2_inv, m0_tau2 = const
     counts, sums, sqsums = stats
     nk = counts[:, None]  # (K, 1)
 
     prec = tau2_inv + nk / state.sigma2
     mean = (m0_tau2 + sums / state.sigma2) / prec
-    mu = mean + rng.standard_normal((K, dataset.d)) / np.sqrt(prec)
+    mu = mean + rng.standard_normal(sums.shape) / np.sqrt(prec)
 
     # Residual sum of squares around the freshly drawn means.
     rss = sqsums - 2.0 * mu * sums + nk * mu ** 2
     rss = np.maximum(rss, 0.0)
 
     # standard_gamma draws what gamma(shape) (scale 1) draws, at half the cost.
-    if prior.spherical:
-        shape = prior.alpha_sigma + counts * dataset.d / 2.0
-        rate = prior.beta_sigma + 0.5 * rss.sum(axis=1)
-        draw = rate / rng.standard_gamma(shape)
-        sigma2 = np.repeat(draw[:, None], dataset.d, axis=1)
-    else:
-        shape = prior.alpha_sigma + nk / 2.0
-        rate = prior.beta_sigma + 0.5 * rss
-        sigma2 = rate / rng.standard_gamma(shape)
+    shape = prior.alpha_sigma + nk / 2.0
+    rate = prior.beta_sigma + 0.5 * rss
+    sigma2 = rate / rng.standard_gamma(shape)
 
     if sigma2.min() >= VARIANCE_FLOOR:
         return mu, sigma2, 0
@@ -333,7 +314,7 @@ def sample_component_params(dataset: Dataset, state: MixtureState, prior: PriorS
     return mu, np.maximum(sigma2, VARIANCE_FLOOR), clamped
 
 
-def empirical_bayes_hyperparams(dataset: Dataset, K: int, spherical: bool = False) -> PriorSpec:
+def empirical_bayes_hyperparams(dataset: Dataset, K: int) -> PriorSpec:
     """Data-driven prior built from column moments.
 
     Component means get a broad prior (four times the mean column variance)
@@ -359,5 +340,4 @@ def empirical_bayes_hyperparams(dataset: Dataset, K: int, spherical: bool = Fals
         alpha_sigma=2.0,
         beta_sigma=2.0 * mean_var,
         a=0.2,
-        spherical=spherical,
     )

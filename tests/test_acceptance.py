@@ -27,7 +27,9 @@ from digmix.model import (
     Dataset,
     MixtureState,
     PriorSpec,
+    component_sufficient_stats,
     empirical_bayes_hyperparams,
+    prior_constants,
     sample_component_params,
     sample_mixture_weights,
 )
@@ -384,11 +386,11 @@ def test_criterion_11_conjugacy_oracles():
 
     # Dirichlet posterior moments over 1e5 draws.
     z = np.array([0] * 6 + [1] * 3 + [2])
-    state = MixtureState(z=z, pi=np.full(3, 1 / 3), mu=np.zeros((3, 1)), sigma2=np.ones((3, 1)))
     prior = PriorSpec(m0=[0.0], tau2=1.0, alpha_sigma=2.0, beta_sigma=1.0, a=1.2)
     conc = 1.2 / 3 + np.array([6, 3, 1])
     total = conc.sum()
-    draws = np.array([sample_mixture_weights(state, prior, rng) for _ in range(100_000)])
+    suff = component_sufficient_stats(Dataset(x=np.zeros((z.size, 1))), z, 3)
+    draws = np.array([sample_mixture_weights(rng, suff, prior_constants(prior, 3)) for _ in range(100_000)])
     mean, var = conc / total, conc * (total - conc) / (total ** 2 * (total + 1))
     dev = np.abs(draws.mean(axis=0) - mean) / np.sqrt(var / len(draws))
     assert np.all(dev < 3.0), f"Dirichlet mean deviation {dev} sigma"
@@ -399,11 +401,12 @@ def test_criterion_11_conjugacy_oracles():
     s2 = 0.8
     prec = 1 / prior.tau2 + 30 / s2
     mu_mean = (x.sum() / s2) / prec
+    suff = component_sufficient_stats(data, np.zeros(30, dtype=int), 1)
     mus = []
     for _ in range(40_000):
         st = MixtureState(z=np.zeros(30, dtype=int), pi=np.array([1.0]),
                           mu=np.zeros((1, 1)), sigma2=np.full((1, 1), s2))
-        mu, _, _ = sample_component_params(data, st, prior, rng)
+        mu, _, _ = sample_component_params(st, prior, rng, suff, prior_constants(prior, 1))
         mus.append(mu[0, 0])
     ks_mu = stats.kstest(mus, "norm", args=(mu_mean, 1 / math.sqrt(prec))).statistic
 
@@ -415,7 +418,7 @@ def test_criterion_11_conjugacy_oracles():
     for _ in range(40_000):
         st = MixtureState(z=np.zeros(30, dtype=int), pi=np.array([1.0]),
                           mu=np.zeros((1, 1)), sigma2=np.ones((1, 1)))
-        _, s2draw, _ = sample_component_params(data, st, tight, rng)
+        _, s2draw, _ = sample_component_params(st, tight, rng, suff, prior_constants(tight, 1))
         s2s.append(s2draw[0, 0])
     ks_s2 = stats.kstest(s2s, "invgamma", args=(shape, 0, rate)).statistic
 

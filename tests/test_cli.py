@@ -110,6 +110,8 @@ def test_spec_validation_errors():
         tiny_spec("o", methods=[]).validate()
     with pytest.raises(ValueError):
         tiny_spec("o", methods=["XXX"]).validate()
+    with pytest.raises(ValueError, match="more than once: SSG"):
+        tiny_spec("o", methods=["SSG", "DIG", "SSG"]).validate()
     with pytest.raises(ValueError):
         tiny_spec("o", replicas=0).validate()
     with pytest.raises(ValueError):
@@ -447,7 +449,9 @@ def test_main_rejects_window_above_iters(tmp_path, capsys):
     (["--d", "0"], "--d >= 1"),
     (["--snapshot-every", "-5"], "--snapshot-every >= 0"),
     (["--threads", "-1"], "--threads >= 0"),
-], ids=["n0", "miller-n2", "motivating5-n4", "misspec4-n3", "d0", "snapshot-every", "threads"])
+    (["--methods", "ssg,dig,ssg"], "method given more than once: SSG"),
+], ids=["n0", "miller-n2", "motivating5-n4", "misspec4-n3", "d0", "snapshot-every", "threads",
+        "repeated-method"])
 def test_main_rejects_bad_sizes(tmp_path, capsys, flags, message):
     out = tmp_path / "run"
     base = ["--n", "60", "--m", "1", "--iters", "60", "--window", "20", "--replicas", "1",
@@ -455,6 +459,24 @@ def test_main_rejects_bad_sizes(tmp_path, capsys, flags, message):
     assert main([*base, *flags]) == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("iters,written", [(18, False), (20, True)])
+def test_short_run_skips_alpha_gap_with_a_warning(tmp_path, capsys, iters, written):
+    # The gap series needs MIN_REFERENCE_SAMPLES (10) SSG samples from the
+    # second half of the run: 18 iterations give 9, 20 give 10.
+    out = tmp_path / "run"
+    assert main(["--n", "60", "--iters", str(iters), "--window", "5", "--replicas", "2",
+                 "--snapshot-every", "3", "--threads", "1", "--out-dir", str(out)]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert ("warning: alpha_gap.csv not written: 9 post-burn-in SSG reference samples, fewer than 10"
+            in err) != written
+    methods = ("ssg", "rsg", "dig")
+    expected = ({f"trace_{m}_{r:02d}.csv" for m in methods for r in range(2)}
+                | {f"summary_{m}.csv" for m in methods} | {f"psm_{m}_00.csv" for m in methods})
+    if written:
+        expected.add("alpha_gap.csv")
+    assert {p.name for p in out.iterdir()} == expected
 
 
 @pytest.mark.parametrize("m", [0, 500])

@@ -17,7 +17,6 @@ from digmix.datagen import (
     load_csv,
     misspec4_params,
     standardize,
-    unstandardize,
 )
 
 
@@ -134,6 +133,16 @@ def test_load_csv_error_taxonomy(tmp_path):
         load_csv(_write(tmp_path, "a,b\n1,2.5\n", "fraclabel.csv"), label_column="b")
 
 
+@pytest.mark.parametrize("label", ["2.99999", "99999.5"])
+def test_load_csv_rejects_non_integer_labels(tmp_path, label):
+    # Both lie within np.allclose's relative tolerance of an integer.
+    p = _write(tmp_path, f"a,cls\n1.0,0\n2.0,{label}\n")
+    with pytest.raises(CsvError, match="integer-valued"):
+        load_csv(p, label_column="cls")
+    ds = load_csv(_write(tmp_path, "a,cls\n1.0,1.0\n2.0,2\n", "whole.csv"), label_column="cls")
+    np.testing.assert_array_equal(ds.labels, [0, 1])
+
+
 def test_load_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(7)
     x = rng.standard_normal((20, 3))
@@ -152,9 +161,9 @@ def test_standardize_roundtrip(seed):
     std, params = standardize(ds)
     assert std.x.mean(axis=0) == pytest.approx(np.zeros(3), abs=1e-10)
     assert std.x.std(axis=0) == pytest.approx(np.ones(3), abs=1e-10)
-    back = unstandardize(std, params)
-    np.testing.assert_allclose(back.x, ds.x, atol=1e-10)
-    np.testing.assert_array_equal(back.labels, ds.labels)
+    mean, sd = params
+    np.testing.assert_allclose(std.x * sd + mean, ds.x, atol=1e-10)
+    np.testing.assert_array_equal(std.labels, ds.labels)
 
 
 def test_standardize_rejects_constant_column():

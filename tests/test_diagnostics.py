@@ -1,4 +1,4 @@
-"""Diagnostics tests: convergence detection, ARI, PSM, occupancy, epochs."""
+"""Diagnostics tests: convergence detection, ARI, PSM, epochs, modal allocation."""
 
 import itertools
 import tracemalloc
@@ -12,7 +12,6 @@ from digmix.diagnostics import (
     adjusted_rand_index,
     epochs,
     mode_allocation,
-    occupied_components,
     posterior_similarity_matrix,
     ssg_reference,
     time_to_converge,
@@ -209,14 +208,7 @@ def test_psm_needs_snapshots():
         posterior_similarity_matrix([])
 
 
-# ---------------------------------------------------------------- occupancy / epochs / mode
-
-def test_occupied_components():
-    count, props = occupied_components(np.array([0, 0, 2, 2, 2]), K=4)
-    assert count == 2
-    np.testing.assert_allclose(props, [0.4, 0.0, 0.6, 0.0])
-    assert props.sum() == 1.0
-
+# ---------------------------------------------------------------- epochs / mode
 
 def test_epochs():
     assert epochs(100, n=1000, m=10) == pytest.approx(1.0)

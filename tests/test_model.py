@@ -11,9 +11,11 @@ from digmix.model import (
     MixtureState,
     PriorSpec,
     complete_log_likelihood,
+    component_sufficient_stats,
     empirical_bayes_hyperparams,
     log_component_density,
     log_density_matrix,
+    prior_constants,
     refresh_responsibilities,
     sample_allocations_rows,
     sample_component_params,
@@ -29,6 +31,11 @@ LOGISTIC_2 = 0.8807970779778823                      # 1 / (1 + e^{-2})
 def make_state(z, pi, mu, sigma2):
     return MixtureState(z=np.asarray(z), pi=np.asarray(pi, dtype=float),
                         mu=np.asarray(mu, dtype=float), sigma2=np.asarray(sigma2, dtype=float))
+
+
+def draw_args(data, state, prior):
+    """The ``(stats, const)`` that the weight and parameter draws take."""
+    return component_sufficient_stats(data, state.z, state.K), prior_constants(prior, state.K)
 
 
 # ---------------------------------------------------------------- densities
@@ -195,7 +202,8 @@ def test_dirichlet_posterior_moments():
     prior = PriorSpec(m0=[0.0], tau2=1.0, alpha_sigma=2.0, beta_sigma=1.0, a=1.5)
     conc = 1.5 / 3 + np.array([5, 3, 2])
     total = conc.sum()
-    draws = np.array([sample_mixture_weights(state, prior, rng) for _ in range(100000)])
+    suff, const = draw_args(Dataset(x=np.zeros((z.size, 1))), state, prior)
+    draws = np.array([sample_mixture_weights(rng, suff, const) for _ in range(100000)])
     mean = conc / total
     var = conc * (total - conc) / (total ** 2 * (total + 1))
     se_mean = np.sqrt(var / len(draws))
@@ -218,7 +226,7 @@ def test_mu_conditional_ks():
     draws = []
     for _ in range(4000):
         state = make_state(z=np.zeros(50, dtype=int), pi=[1.0], mu=[[0.0]], sigma2=[[sigma2]])
-        mu, _, _ = sample_component_params(data, state, prior, rng)
+        mu, _, _ = sample_component_params(state, prior, rng, *draw_args(data, state, prior))
         draws.append(mu[0, 0])
     ks = stats.kstest(draws, "norm", args=(mean, 1 / np.sqrt(prec))).statistic
     assert ks < 0.03
@@ -236,14 +244,14 @@ def test_sigma2_conditional_ks():
     draws = []
     for _ in range(4000):
         state = make_state(z=np.zeros(40, dtype=int), pi=[1.0], mu=[[0.0]], sigma2=[[1.0]])
-        _, s2, _ = sample_component_params(data, state, prior, rng)
+        _, s2, _ = sample_component_params(state, prior, rng, *draw_args(data, state, prior))
         draws.append(s2[0, 0])
     ks = stats.kstest(draws, "invgamma", args=(shape, 0, rate)).statistic
     assert ks < 0.03
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "the non-spherical sigma2 draw shares one gamma variate across the d dimensions of a "
+    "the sigma2 draw shares one gamma variate across the d dimensions of a "
     "component (its shape is (K, 1)); drawing per dimension moves acceptance criteria 2, 3, 4 "
     "and 9, and waits for a decision on them (ROADMAP)"))
 def test_sigma2_dimensions_drawn_independently():
@@ -256,7 +264,7 @@ def test_sigma2_dimensions_drawn_independently():
     n, sums, sqsums = 40, data.x.sum(axis=0), (data.x ** 2).sum(axis=0)
     variates = []
     for _ in range(2000):
-        mu, s2, _ = sample_component_params(data, state, prior, rng)
+        mu, s2, _ = sample_component_params(state, prior, rng, *draw_args(data, state, prior))
         rss = np.maximum(sqsums - 2.0 * mu[0] * sums + n * mu[0] ** 2, 0.0)
         variates.append((prior.beta_sigma + 0.5 * rss) / s2[0])
     corr = np.corrcoef(np.array(variates), rowvar=False)
@@ -273,22 +281,11 @@ def test_empty_component_falls_back_to_prior():
     for _ in range(3000):
         state = make_state(z=np.zeros(5, dtype=int), pi=[0.5, 0.5],
                           mu=[[0.0], [0.0]], sigma2=[[1.0], [1.0]])
-        mu, _, _ = sample_component_params(data, state, prior, rng)
+        mu, _, _ = sample_component_params(state, prior, rng, *draw_args(data, state, prior))
         mus.append(mu[1, 0])  # component 1 is empty
     mus = np.array(mus)
     assert mus.mean() == pytest.approx(10.0, abs=4 * np.sqrt(0.5 / len(mus)) + 0.05)
     assert mus.std() == pytest.approx(np.sqrt(0.5), rel=0.1)
-
-
-def test_spherical_ties_dimensions():
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((30, 3))
-    data = Dataset(x=x)
-    prior = PriorSpec(m0=np.zeros(3), tau2=1.0, alpha_sigma=2.0, beta_sigma=1.0, a=1.0, spherical=True)
-    state = make_state(z=np.zeros(30, dtype=int), pi=[1.0], mu=[np.zeros(3)], sigma2=[np.ones(3)])
-    _, s2, _ = sample_component_params(data, state, prior, rng)
-    assert s2.shape == (1, 3)
-    assert s2[0, 0] == s2[0, 1] == s2[0, 2]
 
 
 # ---------------------------------------------------------------- validation

@@ -5,7 +5,9 @@ import pytest
 
 from digmix import samplers
 from digmix.datagen import gen_miller_harrison
-from digmix.model import VARIANCE_FLOOR, Dataset, PriorSpec, empirical_bayes_hyperparams
+from digmix.adaptation import refresh_due
+from digmix.model import (VARIANCE_FLOOR, Dataset, PriorSpec, empirical_bayes_hyperparams,
+                          refresh_responsibilities)
 from digmix.samplers import (
     DIG,
     RSG,
@@ -58,6 +60,29 @@ def test_swr_first_draw_marginal():
     firsts = np.array([sample_without_replacement(w, 1, rng)[0] for _ in range(30000)])
     props = np.bincount(firsts, minlength=3) / len(firsts)
     assert np.all(np.abs(props - w) < 0.012)
+
+
+def swr_two_paths(weights, m, rng):
+    """sample_without_replacement as it was with a separate full sort at m = n."""
+    w = np.asarray(weights, dtype=float)
+    keys = rng.standard_exponential(w.size)
+    np.divide(keys, w, out=keys)
+    if m == w.size:
+        return keys.argsort()
+    part = keys.argpartition(m)[:m]
+    return part[keys[part].argsort()]
+
+
+def test_swr_matches_two_path_oracle():
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        n = int(rng.integers(1, 400))
+        m = n if trial % 3 == 0 else int(rng.integers(1, n + 1))
+        w = rng.uniform(0.01, 5.0, n)
+        seed = int(rng.integers(2**32))
+        got = sample_without_replacement(w, m, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, swr_two_paths(w, m, np.random.default_rng(seed)),
+                                      err_msg=f"n={n} m={m}")
 
 
 def test_swr_validation():
@@ -206,51 +231,43 @@ def test_rsg_only_touches_selected_indices():
         prev = cur
 
 
-# ---------------------------------------------------------------- incremental assigned probabilities
-
-@pytest.mark.parametrize("m", [10, 100])
-def test_dig_assigned_probabilities_match_gather(monkeypatch, m):
-    """DIG's step keeps p_{i,z_i} as a vector overwritten on the m redrawn
-    rows; after every iteration's step it must equal the gather from the
-    step's own responsibility matrix, bit for bit."""
-    ds, prior = small_problem(n=200)
-    real_step = samplers._AdaptiveScan.__call__
-    checked = [0]
-
-    def spy(step, t, state, rng):
-        moved = real_step(step, t, state, rng)
-        p_row = step.resp.p
-        expect = p_row[np.arange(p_row.shape[0]), state.z]
-        assert step.p_assigned.tobytes() == expect.tobytes(), f"iteration {t}"
-        checked[0] += 1
-        return moved
-
-    monkeypatch.setattr(samplers._AdaptiveScan, "__call__", spy)
-    T = 2000
-    for cll_mode in ("state", "running"):
-        run_chain(ds, 3, prior, SamplerConfig(method=DIG, T=T, m=m, seed=3, snapshot_every=0,
-                                              cll_mode=cll_mode))
-    assert checked[0] == 2 * T
-
+# ---------------------------------------------------------------- cached discomfort
 
 @pytest.mark.parametrize("m", [10, 100])
 def test_dig_cached_discomfort_matches_fresh(monkeypatch, m):
     """DIG's step keeps exp(-lambda p_{i,z_i}) as a vector, recomputed at each
-    refresh and overwritten on the m redrawn rows; after every iteration's step
-    it must equal the discomfort computed afresh from ``p_assigned``, bit for bit."""
+    refresh and overwritten on the m redrawn rows.  After every step it must
+    equal the discomfort of p_{i,z_i} kept eagerly from full passes: every row
+    at a refresh, then the redrawn rows at their new allocations.  The m-row
+    pass can round differently from the full pass, hence the tolerance."""
     ds, prior = small_problem(n=200)
+    T = 2000
     real_step = samplers._AdaptiveScan.__call__
+    real_swr = samplers.sample_without_replacement
+    drawn = []
+    eager = np.empty(ds.n)
     checked = [0]
 
+    def swr(*args):
+        drawn.append(real_swr(*args))
+        return drawn[-1]
+
     def spy(step, t, state, rng):
+        # The step redraws allocations, not parameters, so one full pass
+        # before it gives every probability it uses.
+        P = refresh_responsibilities(ds, state).p
+        if refresh_due(t, T):
+            eager[:] = P[np.arange(ds.n), state.z]
         moved = real_step(step, t, state, rng)
-        fresh = np.exp(step.p_assigned * -step.adaptive.lam)
-        assert step.discomfort.tobytes() == fresh.tobytes(), f"iteration {t}"
+        idx = drawn[-1]
+        eager[idx] = P[idx, state.z[idx]]
+        np.testing.assert_allclose(step.discomfort, np.exp(-step.adaptive.lam * eager), rtol=1e-12,
+                                   err_msg=f"iteration {t}")
         checked[0] += 1
         return moved
 
+    monkeypatch.setattr(samplers, "sample_without_replacement", swr)
     monkeypatch.setattr(samplers._AdaptiveScan, "__call__", spy)
-    T = 2000
     run_chain(ds, 3, prior, SamplerConfig(method=DIG, T=T, m=m, seed=3, snapshot_every=0))
     assert checked[0] == T
 
