@@ -23,8 +23,6 @@ class AdaptiveState:
 
     lam: float
     Lambda: float = 100.0
-    s: int = 1
-    t: int = 0
     lambda_at_bound_count: int = 0
     refresh_count: int = 0
 
@@ -48,7 +46,7 @@ class WeightSchedule:
 def discomfort(p_assigned, lam: float):
     """Exponential discomfort exp(-lam * p) of observations given their assignment probabilities."""
     p = np.asarray(p_assigned, dtype=float)
-    if np.any(p < 0) or np.any(p > 1):
+    if not (p.min() >= 0 and p.max() <= 1):     # NaN fails it too
         raise ValueError("assignment probability outside [0, 1]")
     return np.exp(-lam * p)
 
@@ -127,13 +125,14 @@ def solve_lambda(p_assigned_vec, m: float, Lambda: float, lam0: float = 1.0) -> 
         lam = nxt
 
 
-def lambda_schedule(adaptive: AdaptiveState, p_assigned_vec, m: float) -> float:
+def lambda_schedule(adaptive: AdaptiveState, greedy: bool, p_assigned_vec, m: float) -> float:
     """New lambda at a responsibility-matrix refresh event.
 
-    Greedy phase (t <= s) re-solves the ESS equation; afterwards lambda is
-    pinned at 1.  Counters feed the bound warning.
+    The greedy phase (t <= s, as the caller's schedule tells) re-solves the
+    ESS equation; afterwards lambda is pinned at 1.  Counters feed the bound
+    warning.
     """
-    if adaptive.t <= adaptive.s:
+    if greedy:
         lam = solve_lambda(p_assigned_vec, m, adaptive.Lambda, adaptive.lam)
         adaptive.refresh_count += 1
         if lam >= adaptive.Lambda:

@@ -438,50 +438,55 @@ class _EnvParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser.  A flag not given leaves no attribute, so the
+    defaults are :class:`ExperimentSpec`'s alone."""
     p = _EnvParser(
         prog="digmix",
         description="Run replicated Gibbs-sampler experiments on mixture benchmarks.",
+        argument_default=argparse.SUPPRESS,
     )
     a = p.add_argument
-    a("--data", choices=_FAMILIES, default="miller")
+    a("--data", choices=_FAMILIES)
     a("--csv-path")
     a("--label-col")
-    a("--n", type=int, default=1000)
-    a("--d", type=int, default=2)
+    a("--n", type=int)
+    a("--d", type=int)
     a("--k-fit", type=int)
-    a("--methods", default="ssg,rsg,dig")
-    a("--replicas", type=int, default=20)
-    a("--iters", type=int, default=5000)
+    a("--methods")
+    a("--replicas", type=int)
+    a("--iters", type=int)
     a("--m", type=int)
-    a("--lambda-max", type=float, default=100.0)
-    a("--tanh-a", type=float, default=1.0)
-    a("--seed", type=int, default=0)
+    a("--lambda-max", type=float)
+    a("--tanh-a", type=float)
+    a("--seed", type=int)
     a("--data-seed", type=int)
-    a("--window", type=int, default=1000)
-    a("--snapshot-every", type=int, default=10)
-    a("--out-dir", default="out")
+    a("--window", type=int)
+    a("--snapshot-every", type=int)
+    a("--out-dir")
     a("--threads", type=int)
     a("--standardize", choices=["on", "off"])
-    a("--cll-mode", choices=["running", "state"], default="running")
+    a("--cll-mode", choices=["running", "state"])
     return p
 
 
 def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     """The spec of parsed flags; each flag's destination names its spec field."""
-    label_col: str | int | None = args.label_col
-    if isinstance(label_col, str) and label_col.lstrip("-").isdigit():
-        label_col = int(label_col)
-    methods = []
-    for name in str(args.methods).split(","):
-        name = name.strip().lower()
-        if not name:
-            continue
-        if name not in _METHOD_NAMES:
-            raise ValueError(f"unknown method: {name}")
-        methods.append(_METHOD_NAMES[name])
-    standardize = None if args.standardize is None else args.standardize == "on"
-    return ExperimentSpec(**{**vars(args), "label_col": label_col, "methods": methods,
-                             "standardize": standardize})
+    given = vars(args).copy()
+    if given.get("label_col", "").lstrip("-").isdigit():
+        given["label_col"] = int(given["label_col"])
+    if "methods" in given:
+        methods = []
+        for name in given["methods"].split(","):
+            name = name.strip().lower()
+            if not name:
+                continue
+            if name not in _METHOD_NAMES:
+                raise ValueError(f"unknown method: {name}")
+            methods.append(_METHOD_NAMES[name])
+        given["methods"] = methods
+    if "standardize" in given:
+        given["standardize"] = given["standardize"] == "on"
+    return ExperimentSpec(**given)
 
 
 def main(argv=None) -> int:

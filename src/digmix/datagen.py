@@ -82,11 +82,11 @@ def gen_misspec4(n: int, rng) -> Dataset:
     return Dataset(x=x, labels=labels)
 
 
-def load_csv(path, has_header: bool = True, label_column=None) -> Dataset:
-    """Read a rectangular numeric CSV into a Dataset.
+def load_csv(path, label_column=None) -> Dataset:
+    """Read a rectangular numeric CSV, whose first row is a header, into a Dataset.
 
-    ``label_column`` selects the ground-truth column by header name (when
-    ``has_header``) or 0-based index; it is excluded from the feature matrix.
+    ``label_column`` selects the ground-truth column by header name or
+    0-based index; it is excluded from the feature matrix.
     """
     path = Path(path)
     if not path.exists():
@@ -96,17 +96,14 @@ def load_csv(path, has_header: bool = True, label_column=None) -> Dataset:
         rows = [row for row in reader if row]
     if not rows:
         raise CsvError("empty file")
-    header = None
-    if has_header:
-        header = rows[0]
-        rows = rows[1:]
-        if not rows:
-            raise CsvError("no data rows")
+    header, rows = rows[0], rows[1:]
+    if not rows:
+        raise CsvError("no data rows")
     width = len(rows[0])
     label_idx = None
     if label_column is not None:
         if isinstance(label_column, str):
-            if header is None or label_column not in header:
+            if label_column not in header:
                 raise CsvError(f"label column {label_column!r} not found")
             label_idx = header.index(label_column)
         else:

@@ -23,11 +23,8 @@ _BLOCK_ROWS = 64
 
 @dataclass
 class ConvergenceReport:
-    reference_mean: float
-    reference_var: float
     t2c_iteration: int | None
     t2c_seconds: float | None
-    window: int = 1000
 
 
 def ssg_reference(traces: list[ChainTrace], tail: int = 1000) -> tuple[float, float]:
@@ -77,10 +74,10 @@ def time_to_converge(
         z = np.where(denom > 0, diff / denom, np.where(diff == 0, 0.0, np.inf))
     hits = np.nonzero(np.abs(z) < Z_THRESHOLD)[0]
     if hits.size == 0:
-        return ConvergenceReport(ref_mean, ref_var, None, None, window)
+        return ConvergenceReport(None, None)
     t = int(ends[hits[0]])
     seconds = float(trace.wall_clock_ns[t - 1]) / 1e9
-    return ConvergenceReport(ref_mean, ref_var, t, seconds, window)
+    return ConvergenceReport(t, seconds)
 
 
 def adjusted_rand_index(labels_a, labels_b) -> float:
@@ -191,7 +188,8 @@ def alpha_limit_check(
 
     The limit is the normalised posterior mean of exp(-p_{i,z_i}) (discomfort
     at decay 1), estimated from the second half of a long systematic-scan run.
-    Returns {checkpoint iteration: gap}.
+    Returns {checkpoint iteration: gap} at each recorded snapshot, or at the
+    given ``checkpoints``, each of which must be a recorded snapshot.
     """
     if ssg_trace.discomfort_reference_count < MIN_REFERENCE_SAMPLES:     # 0 when not collected
         raise ValueError("reference chain lacks enough post-burn-in discomfort samples")
@@ -199,15 +197,11 @@ def alpha_limit_check(
         raise ValueError("adaptive chain recorded no selection-weight snapshots")
     ref = ssg_trace.discomfort_reference
     ref = ref / ref.sum()
-    recorded = sorted(dig_trace.alpha_snapshots)
     if checkpoints is None:
-        checkpoints = recorded
+        checkpoints = sorted(dig_trace.alpha_snapshots)
     gaps = {}
     for t in checkpoints:
-        # Nearest recorded snapshot at or before the requested checkpoint.
-        candidates = [r for r in recorded if r <= t]
-        if not candidates:
-            raise ValueError(f"no selection-weight snapshot at or before iteration {t}")
-        tt = candidates[-1]
-        gaps[t] = float(np.max(np.abs(dig_trace.alpha_snapshots[tt] - ref)))
+        if t not in dig_trace.alpha_snapshots:
+            raise ValueError(f"no selection-weight snapshot at iteration {t}")
+        gaps[t] = float(np.max(np.abs(dig_trace.alpha_snapshots[t] - ref)))
     return gaps

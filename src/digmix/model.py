@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,11 @@ class Dataset:
     def d(self) -> int:
         return self.x.shape[1]
 
+    @cached_property
+    def xsq(self) -> np.ndarray:
+        """``x * x``, computed when first read; a dataset pickled before then carries no copy."""
+        return self.x * self.x
+
 
 @dataclass
 class PriorSpec:
@@ -82,8 +88,11 @@ class PriorSpec:
 
     def __post_init__(self):
         self.m0 = np.atleast_1d(np.asarray(self.m0, dtype=float))
-        if self.a <= 0 or self.tau2 <= 0 or self.alpha_sigma <= 0 or self.beta_sigma <= 0:
-            raise ValueError("prior hyperparameters must be strictly positive")
+        # Written so that a NaN fails each comparison.
+        if not all(0 < v < math.inf for v in (self.a, self.tau2, self.alpha_sigma, self.beta_sigma)):
+            raise ValueError("prior hyperparameters must be strictly positive and finite")
+        if not np.isfinite(self.m0).all():
+            raise ValueError("prior mean m0 must be finite")
 
 
 @dataclass
@@ -107,9 +116,14 @@ class MixtureState:
         return self.pi.shape[0]
 
     def validate(self):
-        if abs(self.pi.sum() - 1.0) > 1e-12 or np.any(self.pi <= 0):
+        # Written so that a NaN fails each comparison.
+        if self.pi.ndim != 1 or self.mu.shape[0] != self.K or self.sigma2.shape != self.mu.shape:
+            raise ValueError("pi, mu and sigma2 must agree on K, and mu and sigma2 on d")
+        if not (abs(self.pi.sum() - 1.0) <= 1e-12 and self.pi.min() > 0):
             raise ValueError("pi must be a strictly positive simplex vector")
-        if np.any(self.sigma2 <= 0) or not np.all(np.isfinite(self.sigma2)):
+        if not np.isfinite(self.mu).all():
+            raise ValueError("mu must be finite")
+        if not (self.sigma2.min() > 0 and self.sigma2.max() < math.inf):
             raise ValueError("sigma2 must be strictly positive and finite")
         if np.any(self.z < 0) or np.any(self.z >= self.K):
             raise ValueError("allocation out of range")
@@ -137,14 +151,14 @@ def log_component_density(x_row, mu_k, sigma2_k) -> float:
     return float(-0.5 * np.sum(LOG_2PI + np.log(sigma2_k) + (x_row - mu_k) ** 2 / sigma2_k))
 
 
-def log_density_matrix(x: np.ndarray, state: MixtureState, out=None, xsq=None, work=None) -> np.ndarray:
-    """(n, K) matrix of log pi_k + log N(x_i | mu_k, sigma2_k).
+def log_density_matrix(x: np.ndarray, xsq: np.ndarray, state: MixtureState, out=None,
+                       work=None) -> np.ndarray:
+    """(n, K) matrix of log pi_k + log N(x_i | mu_k, sigma2_k), where ``xsq`` holds the squares of ``x``.
 
     The quadratic form is expanded so the whole matrix comes from two
     matrix products instead of a per-component pass.  Repeated callers pass
-    ``xsq`` (``x * x``, computed once), the (n, K) result buffer ``out`` and
-    an (n, K) scratch ``work`` for the quadratic term; whatever is left out
-    is allocated.
+    the (n, K) result buffer ``out`` and an (n, K) scratch ``work`` for the
+    quadratic term; whatever is left out is allocated.
     """
     inv = 1.0 / state.sigma2                               # (K, d)
     const = (
@@ -152,8 +166,6 @@ def log_density_matrix(x: np.ndarray, state: MixtureState, out=None, xsq=None, w
         - 0.5 * (LOG_2PI * x.shape[1] + np.log(state.sigma2).sum(axis=1))
         - 0.5 * (state.mu ** 2 * inv).sum(axis=1)
     )                                                      # (K,)
-    if xsq is None:
-        xsq = x * x
     out = np.matmul(x, (state.mu * inv).T, out=out)        # cross terms
     # Scaling by -0.5 is exact, so this adds the same values as
     # subtracting half of the unscaled product.
@@ -176,14 +188,14 @@ def _normalise_rows(logp: np.ndarray) -> np.ndarray:
     return logp
 
 
-def refresh_responsibilities(dataset: Dataset, state: MixtureState, out=None, xsq=None,
+def refresh_responsibilities(dataset: Dataset, state: MixtureState, out=None,
                              work=None) -> ResponsibilityMatrix:
     """Full (n, K) recomputation of the responsibility matrix.
 
-    ``out``, ``xsq`` and ``work`` are the buffers of :func:`log_density_matrix`;
-    the matrix is written into ``out`` when given.
+    ``out`` and ``work`` are the buffers of :func:`log_density_matrix`; the
+    matrix is written into ``out`` when given.
     """
-    logp = log_density_matrix(dataset.x, state, out=out, xsq=xsq, work=work)
+    logp = log_density_matrix(dataset.x, dataset.xsq, state, out=out, work=work)
     return ResponsibilityMatrix(p=_normalise_rows(logp))
 
 
@@ -217,8 +229,6 @@ def sample_allocations_rows(rows: np.ndarray, rng) -> np.ndarray:
     n, K = rows.shape
     u = rng.random(n)
     z = np.zeros(n, dtype=np.intp)
-    if K == 1:
-        return z
     c = rows[:, 0].copy()
     below = np.empty(n, dtype=bool)
     for k in range(1, K):
@@ -254,22 +264,20 @@ def component_sufficient_stats(dataset: Dataset, z: np.ndarray, K: int):
     sqsums = np.empty((K, d))
     for j in range(d):
         sums[:, j] = np.bincount(z, weights=dataset.x[:, j], minlength=K)
-        sqsums[:, j] = np.bincount(z, weights=dataset.x[:, j] ** 2, minlength=K)
+        sqsums[:, j] = np.bincount(z, weights=dataset.xsq[:, j], minlength=K)
     return counts, sums, sqsums
 
 
 def update_sufficient_stats(stats, x_rows: np.ndarray, z_old: np.ndarray, z_new: np.ndarray,
-                            x_rows_sq=None, *, eye: np.ndarray):
+                            x_rows_sq: np.ndarray, *, eye: np.ndarray):
     """Move rows ``x_rows`` from components ``z_old`` to ``z_new`` in ``stats``, in place.
 
-    Each row must appear once.  Costs O(md + Kd) for m rows: the one-hot
-    difference matrix (zero on rows that stay) enters two (K, m) x (m, d)
-    products.  ``eye`` is ``np.eye(K)``, built once by the caller; callers
-    that hold ``x_rows * x_rows`` pass it, else it is computed.
+    ``x_rows_sq`` holds the rows' squares.  Each row must appear once.
+    Costs O(md + Kd) for m rows: the one-hot difference matrix (zero on rows
+    that stay) enters two (K, m) x (m, d) products.  ``eye`` is
+    ``np.eye(K)``, built once by the caller.
     """
     counts, sums, sqsums = stats
-    if x_rows_sq is None:
-        x_rows_sq = x_rows * x_rows
     diff = eye.take(z_new, axis=0)     # take gathers rows faster than eye[z_new]
     diff -= eye.take(z_old, axis=0)
     counts += diff.sum(axis=0)

@@ -16,6 +16,7 @@ import numpy as np
 from .adaptation import (
     AdaptiveState,
     WeightSchedule,
+    discomfort,
     ess,
     lambda_bound_warning,
     lambda_schedule,
@@ -157,31 +158,31 @@ def _resolve_m(config: SamplerConfig, n: int) -> int:
 class _SystematicScan:
     """SSG's allocation step: every row redrawn from one full (n, K) pass.
 
-    The pass reads ``x * x`` computed once and leaves the probabilities in
-    the buffer ``P``; it returns no moved rows, so the statistics are recomputed.
+    The pass leaves the probabilities in the buffer ``P``; it returns no
+    moved rows, so the statistics are recomputed.
     """
 
     def __init__(self, dataset: Dataset, K: int, m: int, config: SamplerConfig):
-        self.x, self.xsq = dataset.x, dataset.x * dataset.x
+        self.x, self.xsq = dataset.x, dataset.xsq
         self.P = np.empty((dataset.n, K))
         self.work = np.empty((dataset.n, K))
 
     def __call__(self, t: int, state: MixtureState, rng):
-        _normalise_rows(log_density_matrix(self.x, state, out=self.P, xsq=self.xsq, work=self.work))
+        _normalise_rows(log_density_matrix(self.x, self.xsq, state, out=self.P, work=self.work))
         state.z = sample_allocations_rows(self.P, rng)
 
 
 class _RandomScan:
     """RSG's allocation step: m rows drawn uniformly with replacement and redrawn.
 
-    Returns the moved rows as ``(x rows, old z, new z, x rows squared or
-    None)``, each row once, for the statistics update.  The m-row pass
-    squares its own gathered rows; when the rows are distinct (DIG), those
-    buffers are returned, valid until the next step.
+    Returns the moved rows as ``(x rows, old z, new z, x rows squared)``,
+    each row once, for the statistics update.  The m-row pass gathers its
+    rows of ``x`` and of ``dataset.xsq``; when the rows are distinct (DIG),
+    those buffers are returned, valid until the next step.
     """
 
     def __init__(self, dataset: Dataset, K: int, m: int, config: SamplerConfig):
-        self.x, self.n, self.m = dataset.x, dataset.n, m
+        self.x, self.xsq, self.n, self.m = dataset.x, dataset.xsq, dataset.n, m
         self.x_sel = np.empty((m, dataset.d))
         self.x_sel_sq = np.empty((m, dataset.d))
         self.sel_logp = np.empty((m, K))
@@ -200,8 +201,8 @@ class _RandomScan:
     def __call__(self, t: int, state: MixtureState, rng):
         idx, changed = self.select(t, state, rng)
         self.x.take(idx, axis=0, out=self.x_sel)
-        np.multiply(self.x_sel, self.x_sel, out=self.x_sel_sq)
-        rows = _normalise_rows(log_density_matrix(self.x_sel, state, out=self.sel_logp, xsq=self.x_sel_sq,
+        self.xsq.take(idx, axis=0, out=self.x_sel_sq)
+        rows = _normalise_rows(log_density_matrix(self.x_sel, self.x_sel_sq, state, out=self.sel_logp,
                                                   work=self.sel_work))
         new_z = sample_allocations_rows(rows, rng)
         z_old = state.z[changed]
@@ -209,7 +210,7 @@ class _RandomScan:
         self.redrawn(idx, rows, new_z)
         if changed is idx:
             return self.x_sel, z_old, new_z, self.x_sel_sq
-        return self.x.take(changed, axis=0), z_old, state.z[changed], None
+        return self.x.take(changed, axis=0), z_old, state.z[changed], self.xsq.take(changed, axis=0)
 
     def redrawn(self, idx: np.ndarray, rows: np.ndarray, new_z: np.ndarray):
         """Sees each redrawn row's fresh probabilities; RSG keeps nothing of them."""
@@ -222,42 +223,37 @@ class _AdaptiveScan(_RandomScan):
     unnormalised vector ``alpha_raw``; normalising inside the recursion would
     rescale the discomfort term by its sum (~n/2) and keep the effective
     adaptation step large long after g has decayed, so adaptation would never
-    actually diminish.  ``discomfort`` holds exp(-lambda p_{i,z_i}): computed
-    from the full responsibility pass at each refresh, where lambda may
-    change, and overwritten on the m redrawn rows from their fresh
-    probability rows.
+    actually diminish.  ``discomfort`` holds exp(-lambda p_{i,z_i}), by
+    :func:`discomfort`: computed anew from the full responsibility pass at
+    each refresh, where lambda may change, and overwritten on the m redrawn
+    rows from their fresh probability rows.
     """
 
     def __init__(self, dataset: Dataset, K: int, m: int, config: SamplerConfig):
         super().__init__(dataset, K, m, config)
         n = dataset.n
         self.dataset, self.T = dataset, config.T
-        self.s = transition_point(n, K, m)
-        self.schedule = WeightSchedule(s=self.s, a=config.tanh_a)
-        self.adaptive = AdaptiveState(lam=1.0, Lambda=config.Lambda, s=self.s)
+        self.schedule = WeightSchedule(s=transition_point(n, K, m), a=config.tanh_a)
+        self.adaptive = AdaptiveState(lam=1.0, Lambda=config.Lambda)
         self.alpha_raw = np.full(n, 1.0 / n)
         self.ess = np.nan
         self.g = np.nan
-        self.xsq = self.x * self.x
         self.full = np.empty((n, K))
         self.full_work = np.empty((n, K))
         self.idx_n = np.arange(n)
         self.idx_m = np.arange(m)
-        self.discomfort = np.empty(n)
         self.d_buf = np.empty(n)
 
     def select(self, t: int, state: MixtureState, rng):
         adaptive = self.adaptive
-        adaptive.t = t
         if refresh_due(t, self.T):      # always at t = 1
             # p_{i,z_i}, read by this refresh only but held until the next: as a
             # local it raised the benchmark's large-n peak RSS from 166 to 171 MB.
-            self.p_assigned = refresh_responsibilities(self.dataset, state, out=self.full, xsq=self.xsq,
+            self.p_assigned = refresh_responsibilities(self.dataset, state, out=self.full,
                                                        work=self.full_work).p[self.idx_n, state.z]
-            lambda_schedule(adaptive, self.p_assigned, self.m)
+            lambda_schedule(adaptive, t <= self.schedule.s, self.p_assigned, self.m)
             self.ess = ess(self.p_assigned, adaptive.lam)
-            np.multiply(self.p_assigned, -adaptive.lam, out=self.discomfort)
-            np.exp(self.discomfort, out=self.discomfort)
+            self.discomfort = discomfort(self.p_assigned, adaptive.lam)
         f, self.g = weight_pair(t, self.schedule)
         self.alpha_raw *= f
         np.multiply(self.discomfort, self.g, out=self.d_buf)
@@ -268,9 +264,7 @@ class _AdaptiveScan(_RandomScan):
         return idx, idx
 
     def redrawn(self, idx: np.ndarray, rows: np.ndarray, new_z: np.ndarray):
-        p = rows[self.idx_m, new_z]
-        np.multiply(p, -self.adaptive.lam, out=p)
-        self.discomfort[idx] = np.exp(p, out=p)
+        self.discomfort[idx] = discomfort(rows[self.idx_m, new_z], self.adaptive.lam)
 
 
 _STEPS = {SSG: _SystematicScan, RSG: _RandomScan, DIG: _AdaptiveScan}
@@ -294,7 +288,7 @@ class _Recorder:
             wall_clock_ns=np.empty(T, dtype=np.int64), cll=np.empty(T), lam=np.full(T, np.nan),
             ess=np.full(T, np.nan), g_weight=np.full(T, np.nan), occupied=np.empty(T, dtype=int),
             snapshots={}, final_state=state, initial_state=state.copy(), allocation_draws=T * m,
-            s=None if self.dig is None else self.dig.s,
+            s=None if self.dig is None else self.dig.schedule.s,
             discomfort_reference=np.zeros(n) if config.collect_discomfort_reference else None,
         )
         self.running = config.cll_mode == "running"
@@ -337,7 +331,7 @@ class _Recorder:
             if dig is not None:
                 tr.alpha_snapshots[t] = dig.alpha_raw / dig.alpha_raw.sum()
         if tr.discomfort_reference is not None and t > self.config.T // 2:
-            tr.discomfort_reference += np.exp(-self.step.P[self.idx_n, state.z])
+            tr.discomfort_reference += discomfort(self.step.P[self.idx_n, state.z], 1.0)
             tr.discomfort_reference_count += 1
 
     def finish(self, clamps: int) -> ChainTrace:
@@ -354,10 +348,9 @@ class _Recorder:
         return tr
 
 
-def run_chain(dataset: Dataset, K: int, prior: PriorSpec, config: SamplerConfig, rng=None) -> ChainTrace:
-    """Run one chain of the configured method and return its trace."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+def run_chain(dataset: Dataset, K: int, prior: PriorSpec, config: SamplerConfig) -> ChainTrace:
+    """Run one chain of the configured method, seeded by ``config.seed``, and return its trace."""
+    rng = np.random.default_rng(config.seed)
     n = dataset.n
     m = _resolve_m(config, n)
     t = 0

@@ -46,6 +46,8 @@ def test_discomfort_rejects_bad_probability():
         discomfort(1.5, 1.0)
     with pytest.raises(ValueError):
         discomfort(-0.1, 1.0)
+    with pytest.raises(ValueError):
+        discomfort([np.nan, 0.5], 1.0)
 
 
 # ---------------------------------------------------------------- ESS and lambda
@@ -156,19 +158,17 @@ def test_solve_lambda_newton_matches_grid_brentq(seed, start):
 
 
 def test_lambda_schedule_phases():
-    state = AdaptiveState(lam=1.0, Lambda=100.0, s=10)
+    state = AdaptiveState(lam=1.0, Lambda=100.0)
     p = np.array([0.1, 0.9, 0.5, 0.99])
-    state.t = 5
-    lam_greedy = lambda_schedule(state, p, m=2)
+    lam_greedy = lambda_schedule(state, True, p, m=2)
     assert lam_greedy > 1.0
     assert state.refresh_count == 1
-    state.t = 11
-    assert lambda_schedule(state, p, m=2) == 1.0
+    assert lambda_schedule(state, False, p, m=2) == 1.0
     assert state.refresh_count == 1  # post-s refreshes do not count as adaptation
 
 
 def test_lambda_bound_warning():
-    state = AdaptiveState(lam=1.0, Lambda=10.0, s=100)
+    state = AdaptiveState(lam=1.0, Lambda=10.0)
     assert lambda_bound_warning(state) is None
     state.refresh_count, state.lambda_at_bound_count = 10, 3
     assert lambda_bound_warning(state) is not None

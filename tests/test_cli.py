@@ -368,6 +368,13 @@ def test_parser_and_spec_from_args(tmp_path):
     assert spec.standardize is False and spec.cll_mode == "state"
 
 
+def test_parser_defaults_are_the_spec_defaults(monkeypatch):
+    for var in list(os.environ):
+        if var.startswith("DIGMIX_"):
+            monkeypatch.delenv(var)
+    assert spec_from_args(build_parser().parse_args([])) == ExperimentSpec()
+
+
 def test_env_overrides(monkeypatch):
     monkeypatch.setenv("DIGMIX_N", "777")
     monkeypatch.setenv("DIGMIX_METHODS", "dig")

@@ -108,10 +108,11 @@ def test_load_csv_with_header_and_label(tmp_path):
     np.testing.assert_array_equal(ds.labels, [0, 1])
 
 
-def test_load_csv_label_by_index_no_header(tmp_path):
-    p = _write(tmp_path, "1,2,0\n3,4,1\n")
-    ds = load_csv(p, has_header=False, label_column=2)
+def test_load_csv_label_by_index(tmp_path):
+    p = _write(tmp_path, "a,b,cls\n1,2,0\n3,4,1\n")
+    ds = load_csv(p, label_column=2)
     np.testing.assert_allclose(ds.x, [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(ds.labels, [0, 1])
 
 
 def test_load_csv_error_taxonomy(tmp_path):

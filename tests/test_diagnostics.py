@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digmix.diagnostics import (
+    MIN_REFERENCE_SAMPLES,
     adjusted_rand_index,
+    alpha_limit_check,
     epochs,
     mode_allocation,
     posterior_similarity_matrix,
@@ -36,7 +38,7 @@ def _trace(cll, wall=None, m=10, n=100):
 
 # ---------------------------------------------------------------- reference level
 
-def test_ssg_reference_mean_and_variance():
+def test_ssg_reference_level_and_variance():
     t1 = _trace(np.concatenate([np.zeros(50), np.full(100, -10.0)]))
     t2 = _trace(np.concatenate([np.zeros(50), np.full(100, -14.0)]))
     mean, var = ssg_reference([t1, t2], tail=100)
@@ -206,6 +208,23 @@ def test_psm_peak_memory_below_loop():
 def test_psm_needs_snapshots():
     with pytest.raises(ValueError):
         posterior_similarity_matrix([])
+
+
+# ---------------------------------------------------------------- selection-weight limit
+
+def test_alpha_limit_check_reads_recorded_snapshots_only():
+    ssg, dig = _trace(np.zeros(20)), _trace(np.zeros(20))
+    ssg.discomfort_reference = np.array([1.0, 3.0])
+    ssg.discomfort_reference_count = MIN_REFERENCE_SAMPLES
+    dig.alpha_snapshots = {10: np.array([0.5, 0.5]), 20: np.array([0.3, 0.7])}
+    gaps = alpha_limit_check(dig, ssg)
+    assert gaps == pytest.approx({10: 0.25, 20: 0.05})
+    assert alpha_limit_check(dig, ssg, checkpoints=[20]) == pytest.approx({20: 0.05})
+    with pytest.raises(ValueError, match="iteration 15"):
+        alpha_limit_check(dig, ssg, checkpoints=[10, 15])
+    ssg.discomfort_reference_count = MIN_REFERENCE_SAMPLES - 1
+    with pytest.raises(ValueError):
+        alpha_limit_check(dig, ssg)
 
 
 # ---------------------------------------------------------------- epochs / mode

@@ -60,7 +60,7 @@ def test_log_density_matrix_matches_scalar():
     x = rng.standard_normal((7, 3))
     state = make_state(z=np.zeros(7, dtype=int), pi=[0.2, 0.3, 0.5],
                        mu=rng.standard_normal((3, 3)), sigma2=rng.uniform(0.5, 2.0, (3, 3)))
-    mat = log_density_matrix(x, state)
+    mat = log_density_matrix(x, x * x, state)
     for i in range(7):
         for k in range(3):
             expect = np.log(state.pi[k]) + log_component_density(x[i], state.mu[k], state.sigma2[k])
@@ -116,7 +116,7 @@ def floor_problem():
 
 def test_floored_responsibilities_match_logsumexp():
     data, state = floor_problem()
-    logp = log_density_matrix(data.x, state)
+    logp = log_density_matrix(data.x, data.xsq, state)
     gaps = logp.max(axis=1, keepdims=True) - logp
     assert np.count_nonzero((gaps > 708) & (gaps < 745)) > 1000
     assert np.count_nonzero(gaps > 745) > 1000
@@ -308,6 +308,22 @@ def test_state_validation():
         make_state(z=[3], pi=[0.5, 0.5], mu=np.zeros((2, 1)), sigma2=np.ones((2, 1)))
     with pytest.raises(ValueError):
         make_state(z=[0], pi=[0.5, 0.5], mu=np.zeros((2, 1)), sigma2=-np.ones((2, 1)))
+    good = dict(z=[0], pi=[0.5, 0.5], mu=np.zeros((2, 1)), sigma2=np.ones((2, 1)))
+    make_state(**good)
+    bad = [
+        dict(pi=[np.nan, 0.5]),
+        dict(pi=[0.5, np.nan]),
+        dict(mu=np.array([[0.0], [np.nan]])),
+        dict(mu=np.array([[0.0], [np.inf]])),
+        dict(sigma2=np.array([[1.0], [np.nan]])),
+        dict(pi=[0.25, 0.25, 0.5]),               # K = 3 against mu's and sigma2's 2
+        dict(mu=np.zeros((3, 1))),
+        dict(sigma2=np.ones((3, 1))),
+        dict(sigma2=np.ones((2, 2))),             # d = 2 against mu's 1
+    ]
+    for change in bad:
+        with pytest.raises(ValueError):
+            make_state(**{**good, **change})
 
 
 def test_prior_validation():
@@ -315,6 +331,15 @@ def test_prior_validation():
         PriorSpec(m0=[0.0], tau2=-1.0, alpha_sigma=1.0, beta_sigma=1.0)
     with pytest.raises(ValueError):
         PriorSpec(m0=[0.0], tau2=1.0, alpha_sigma=1.0, beta_sigma=1.0, a=0.0)
+    good = dict(m0=[0.0], tau2=1.0, alpha_sigma=1.0, beta_sigma=1.0, a=1.0)
+    PriorSpec(**good)
+    for name in ("tau2", "alpha_sigma", "beta_sigma", "a"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                PriorSpec(**{**good, name: value})
+    for m0 in ([np.nan], [np.inf], [0.0, -np.inf]):
+        with pytest.raises(ValueError):
+            PriorSpec(**{**good, "m0": m0})
 
 
 # ---------------------------------------------------------------- empirical Bayes

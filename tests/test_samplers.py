@@ -27,8 +27,8 @@ def small_problem(seed=0, n=60, d=2):
     return ds, prior
 
 
-def run(method, ds, prior, rng=None, **config):
-    return run_chain(ds, 3, prior, SamplerConfig(method=method, **config), rng)
+def run(method, ds, prior, **config):
+    return run_chain(ds, 3, prior, SamplerConfig(method=method, **config))
 
 
 # ---------------------------------------------------------------- selection sampling
@@ -213,13 +213,6 @@ def test_discomfort_reference_collection():
     assert np.all((ref >= np.exp(-1) - 1e-12) & (ref <= 1.0 + 1e-12))
 
 
-def test_explicit_rng_argument():
-    ds, prior = small_problem()
-    a = run(RSG, ds, prior, np.random.default_rng(77), T=10, m=6, seed=0, snapshot_every=0)
-    b = run(RSG, ds, prior, np.random.default_rng(77), T=10, m=6, seed=0, snapshot_every=0)
-    np.testing.assert_array_equal(a.cll, b.cll)
-
-
 def test_rsg_only_touches_selected_indices():
     # With m=1, at most one allocation changes per iteration.
     ds, prior = small_problem(n=30)
@@ -270,6 +263,27 @@ def test_dig_cached_discomfort_matches_fresh(monkeypatch, m):
     monkeypatch.setattr(samplers._AdaptiveScan, "__call__", spy)
     run_chain(ds, 3, prior, SamplerConfig(method=DIG, T=T, m=m, seed=3, snapshot_every=0))
     assert checked[0] == T
+
+
+def test_every_discomfort_is_the_one_formula(monkeypatch):
+    """DIG's refresh, its m-row overwrite and SSG's reference all compute
+    exp(-lambda p) through ``adaptation.discomfort``: DIG once per refresh and
+    once per iteration, SSG once per iteration of the run's second half."""
+    ds, prior = small_problem()
+    T = 50
+    calls = [0]
+    real = samplers.discomfort
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(samplers, "discomfort", counted)
+    run(DIG, ds, prior, T=T, m=6, seed=1, snapshot_every=0)
+    assert calls[0] == sum(refresh_due(t, T) for t in range(1, T + 1)) + T
+    calls[0] = 0
+    run(SSG, ds, prior, T=T, seed=1, snapshot_every=0, collect_discomfort_reference=True)
+    assert calls[0] == T - T // 2
 
 
 # ---------------------------------------------------------------- edge cases
