@@ -27,8 +27,8 @@ class AdaptiveState:
     refresh_count: int = 0
 
     def __post_init__(self):
-        if not 1.0 <= self.lam <= self.Lambda:
-            raise ValueError("lambda must lie in [1, Lambda]")
+        if not 1.0 <= self.lam <= self.Lambda < math.inf:     # NaN fails it too
+            raise ValueError("lambda must lie in [1, Lambda], with Lambda finite")
 
 
 @dataclass
@@ -39,8 +39,8 @@ class WeightSchedule:
     a: float = 1.0
 
     def __post_init__(self):
-        if self.a <= 0 or self.s < 1:
-            raise ValueError("need a > 0 and s >= 1")
+        if not (0 < self.a < math.inf and self.s >= 1):     # NaN fails it too
+            raise ValueError("need a finite a > 0 and s >= 1")
 
 
 def discomfort(p_assigned, lam: float):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -148,10 +149,11 @@ class ExperimentSpec:
             raise ValueError("need --snapshot-every >= 0")
         if self.threads is not None and self.threads < 0:
             raise ValueError("need --threads >= 0")
-        if self.lambda_max <= 1:
-            raise ValueError("need --lambda-max > 1")
-        if self.tanh_a <= 0:
-            raise ValueError("need --tanh-a > 0")
+        # Written so that a NaN fails each comparison.
+        if not 1 < self.lambda_max < math.inf:
+            raise ValueError("need a finite --lambda-max > 1")
+        if not 0 < self.tanh_a < math.inf:
+            raise ValueError("need a finite --tanh-a > 0")
 
     def check_m(self, n: int):
         """Reject an explicit --m outside [1, n] when RSG or DIG runs; SSG ignores it."""

@@ -25,6 +25,7 @@ from .adaptation import (
     weight_pair,
 )
 from .model import (
+    PASS_ROWS,
     VARIANCE_FLOOR,
     Dataset,
     MixtureState,
@@ -33,6 +34,7 @@ from .model import (
     complete_log_likelihood,
     component_sufficient_stats,
     log_density_matrix,
+    pass_blocks,
     prior_constants,
     refresh_responsibilities,
     sample_allocations_rows,
@@ -158,18 +160,27 @@ def _resolve_m(config: SamplerConfig, n: int) -> int:
 class _SystematicScan:
     """SSG's allocation step: every row redrawn from one full (n, K) pass.
 
-    The pass leaves the probabilities in the buffer ``P``; it returns no
-    moved rows, so the statistics are recomputed.
+    The pass runs in the row blocks of :func:`pass_blocks`, each block's
+    density, normalisation and draws before the next block's.  Each block
+    continues the uniform stream where the last one stopped, so the draws
+    are those of one whole-matrix pass, bit for bit.  The pass leaves the
+    probabilities in the (n, K) buffer ``P``; it returns no moved rows, so
+    the statistics are recomputed.
     """
 
     def __init__(self, dataset: Dataset, K: int, m: int, config: SamplerConfig):
-        self.x, self.xsq = dataset.x, dataset.xsq
-        self.P = np.empty((dataset.n, K))
-        self.work = np.empty((dataset.n, K))
+        n = self.n = dataset.n
+        self.P = np.empty((n, K))
+        work = np.empty((min(n, PASS_ROWS), K))
+        self.blocks = [(rows, dataset.x[rows], dataset.xsq[rows], self.P[rows],
+                        work[:rows.stop - rows.start]) for rows in pass_blocks(n)]
 
     def __call__(self, t: int, state: MixtureState, rng):
-        _normalise_rows(log_density_matrix(self.x, self.xsq, state, out=self.P, work=self.work))
-        state.z = sample_allocations_rows(self.P, rng)
+        z = np.empty(self.n, dtype=np.intp)
+        for rows, x, xsq, P, work in self.blocks:
+            _normalise_rows(log_density_matrix(x, xsq, state, out=P, work=work))
+            z[rows] = sample_allocations_rows(P, rng)
+        state.z = z
 
 
 class _RandomScan:
@@ -239,7 +250,7 @@ class _AdaptiveScan(_RandomScan):
         self.ess = np.nan
         self.g = np.nan
         self.full = np.empty((n, K))
-        self.full_work = np.empty((n, K))
+        self.full_work = np.empty((min(n, PASS_ROWS), K))
         self.idx_n = np.arange(n)
         self.idx_m = np.arange(m)
         self.d_buf = np.empty(n)

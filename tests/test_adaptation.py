@@ -280,8 +280,15 @@ def test_constant_discomfort_fixed_point():
 
 
 def test_adaptive_state_validation():
+    for lam, Lambda in [(0.5, 100.0), (1.0, math.inf), (1.0, math.nan), (math.nan, 100.0)]:
+        with pytest.raises(ValueError):
+            AdaptiveState(lam=lam, Lambda=Lambda)
+
+
+@pytest.mark.parametrize("s,a", [(10, 0.0), (10, -1.0), (10, math.inf), (10, math.nan), (0, 1.0)])
+def test_weight_schedule_validation(s, a):
     with pytest.raises(ValueError):
-        AdaptiveState(lam=0.5)
+        WeightSchedule(s=s, a=a)
 
 
 # ---------------------------------------------------------------- refresh cadence

@@ -10,7 +10,7 @@ PUBLIC = [
     "complete_log_likelihood", "default_m", "discomfort",
     "empirical_bayes_hyperparams", "epochs", "ess", "gen_miller_harrison",
     "gen_misspec4", "gen_motivating5", "init_state", "lambda_schedule",
-    "load_csv", "log_component_density", "log_density_matrix", "main",
+    "load_csv", "log_density_matrix", "main",
     "mode_allocation", "posterior_similarity_matrix",
     "refresh_responsibilities", "run_chain", "run_experiment",
     "sample_component_params", "sample_mixture_weights",

@@ -457,8 +457,12 @@ def test_main_rejects_window_above_iters(tmp_path, capsys):
     (["--snapshot-every", "-5"], "--snapshot-every >= 0"),
     (["--threads", "-1"], "--threads >= 0"),
     (["--methods", "ssg,dig,ssg"], "method given more than once: SSG"),
+    (["--lambda-max", "nan"], "finite --lambda-max > 1"),
+    (["--lambda-max", "inf"], "finite --lambda-max > 1"),
+    (["--tanh-a", "nan"], "finite --tanh-a > 0"),
+    (["--tanh-a", "inf"], "finite --tanh-a > 0"),
 ], ids=["n0", "miller-n2", "motivating5-n4", "misspec4-n3", "d0", "snapshot-every", "threads",
-        "repeated-method"])
+        "repeated-method", "lambda-max-nan", "lambda-max-inf", "tanh-a-nan", "tanh-a-inf"])
 def test_main_rejects_bad_sizes(tmp_path, capsys, flags, message):
     out = tmp_path / "run"
     base = ["--n", "60", "--m", "1", "--iters", "60", "--window", "20", "--replicas", "1",

@@ -1,13 +1,16 @@
 """Chain-runner tests: selection sampling, trace invariants, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from digmix import samplers
 from digmix.datagen import gen_miller_harrison
 from digmix.adaptation import refresh_due
-from digmix.model import (VARIANCE_FLOOR, Dataset, PriorSpec, empirical_bayes_hyperparams,
-                          refresh_responsibilities)
+from digmix.model import (PASS_ROWS, VARIANCE_FLOOR, Dataset, PriorSpec, _normalise_rows,
+                          empirical_bayes_hyperparams, log_density_matrix, refresh_responsibilities,
+                          sample_allocations_rows)
 from digmix.samplers import (
     DIG,
     RSG,
@@ -211,6 +214,40 @@ def test_discomfort_reference_collection():
     ref = tr.discomfort_reference
     assert ref.shape == (ds.n,)
     assert np.all((ref >= np.exp(-1) - 1e-12) & (ref <= 1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("K", [3, 20])
+def test_blocked_sweep_matches_whole_matrix_draw(K):
+    # Three row blocks, the last of 5 rows: the same probabilities, the same
+    # draws, and the generator left where one whole-matrix draw leaves it.
+    ds = gen_miller_harrison(2 * PASS_ROWS + 5, 3, np.random.default_rng(K))
+    prior = empirical_bayes_hyperparams(ds, K)
+    state = init_state(ds, K, prior, np.random.default_rng(1))
+    P = _normalise_rows(log_density_matrix(ds.x, ds.xsq, state))
+    ref_rng = np.random.default_rng(2)
+    ref_z = sample_allocations_rows(P, ref_rng)
+    step = samplers._SystematicScan(ds, K, ds.n, SamplerConfig(method=SSG))
+    rng = np.random.default_rng(2)
+    step(1, state, rng)
+    np.testing.assert_array_equal(state.z, ref_z)
+    np.testing.assert_array_equal(step.P, P)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("method", [SSG, DIG])
+def test_full_pass_memory_stays_below_two_matrices(method):
+    # The full pass holds one (n, K) matrix and a block-sized scratch, not
+    # a second (n, K) scratch: traced peak below two (n, K) float64 arrays.
+    n, K = 4 * PASS_ROWS, 20
+    ds = gen_miller_harrison(n, 2, np.random.default_rng(0))
+    prior = empirical_bayes_hyperparams(ds, K)
+    tracemalloc.start()
+    try:
+        run_chain(ds, K, prior, SamplerConfig(method=method, T=4, m=300, seed=1, snapshot_every=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * n * K * 8
 
 
 def test_rsg_only_touches_selected_indices():

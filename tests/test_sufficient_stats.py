@@ -72,6 +72,31 @@ def miller(n=200, d=2, seed=0):
     return ds
 
 
+# ---------------------------------------------------------------- recompute against per-column bincounts
+
+def stats_per_column(dataset, z, K):
+    """Reference statistics: one bincount per column of x and of x squared."""
+    counts = np.bincount(z, minlength=K).astype(float)
+    sums = np.empty((K, dataset.d))
+    sqsums = np.empty((K, dataset.d))
+    for j in range(dataset.d):
+        sums[:, j] = np.bincount(z, weights=dataset.x[:, j], minlength=K)
+        sqsums[:, j] = np.bincount(z, weights=dataset.xsq[:, j], minlength=K)
+    return counts, sums, sqsums
+
+
+@pytest.mark.parametrize("n", [1, 2 * 8192 + 5])
+@pytest.mark.parametrize("K", [1, 3, 20])
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_recompute_matches_per_column_bincounts(d, K, n):
+    rng = np.random.default_rng(d * K)
+    ds = Dataset(x=rng.standard_normal((n, d)) * 4 + 10)
+    # Every other component stays empty (none at K = 1).
+    z = 2 * rng.integers(0, (K + 1) // 2, n)
+    for got, ref in zip(component_sufficient_stats(ds, z, K), stats_per_column(ds, z, K)):
+        np.testing.assert_array_equal(got, ref)
+
+
 # ---------------------------------------------------------------- update against recompute
 
 def test_update_matches_recompute_and_empties_exactly():
@@ -244,3 +269,28 @@ def test_golden_trace_digest(method, cll_mode):
                                                collect_discomfort_reference=method == SSG))
     assert (method != DIG) or tr.warnings
     assert trace_digest(tr) == GOLDEN_TRACE[method, cll_mode]
+
+
+# SHA-256 of a whole ChainTrace, per method and K, for the configuration in
+# test_golden_multi_block_trace_digest: n = 2 * 8192 + 27 rows, so that a full
+# pass in row blocks of 8192 spans three blocks, the last one partial.  Taken
+# before full passes ran in blocks, so equality shows that blocking changed
+# no draw and no bookkeeping.
+GOLDEN_MULTI_BLOCK = {
+    (SSG, 3): "217fd877d172f7965b0e7e747dae9066277383d234d501acc49931f52a8912f8",
+    (SSG, 20): "82879b7236c7d5a9975a6636a8bf68d8d2a4d5381376f21be98a74f8dad03cda",
+    (RSG, 3): "22ce9e84b54fa09df0ff0483750bc18165a065980cb7e4f7a140e189b583046f",
+    (RSG, 20): "3d3b6786eedbb4baefac9faa7409da0ca44cc3b023781a990ef78c8dd8fab470",
+    (DIG, 3): "f4511a0e0666b5ddaaef7af1feabd581dead912f80114aa96670d83aa98b32e2",
+    (DIG, 20): "59fc260fb4fe58e2039b29359f61f821291adeb108a6c2b54cdd60cc6cf7dc26",
+}
+
+
+@pytest.mark.parametrize("K", [3, 20])
+@pytest.mark.parametrize("method", [SSG, RSG, DIG])
+def test_golden_multi_block_trace_digest(method, K):
+    ds = miller(n=2 * 8192 + 27, d=10, seed=6)
+    prior = empirical_bayes_hyperparams(ds, K)
+    tr = run_chain(ds, K, prior, SamplerConfig(method=method, T=12, m=300, seed=8, snapshot_every=5,
+                                               collect_discomfort_reference=method == SSG))
+    assert trace_digest(tr) == GOLDEN_MULTI_BLOCK[method, K]
