@@ -78,7 +78,7 @@ _STANDARDIZE_DEFAULT = {"miller": True, "motivating5": True, "misspec4": False, 
 _GENERATING_K = {"miller": 3, "motivating5": 5, "misspec4": 4}
 
 class UsageError(ValueError):
-    """An invalid flag value that shows only once the data are loaded."""
+    """An input the command rejects before any chain runs: a flag value, or data it cannot fit."""
 
 
 def default_m(n: int) -> int:
@@ -139,10 +139,8 @@ class ExperimentSpec:
             raise ValueError("need --window >= 2")
         if self.window > self.iters:
             raise ValueError(f"--window ({self.window}) must not exceed --iters ({self.iters})")
-        if self.data != "csv":
-            if self.n < _GENERATING_K[self.data]:
-                raise ValueError(f"need --n >= {_GENERATING_K[self.data]} for --data {self.data}")
-            self.check_m(self.n)
+        if self.data != "csv" and self.n < _GENERATING_K[self.data]:
+            raise ValueError(f"need --n >= {_GENERATING_K[self.data]} for --data {self.data}")
         if self.d < 1:
             raise ValueError("need --d >= 1")
         if self.snapshot_every < 0:
@@ -154,11 +152,6 @@ class ExperimentSpec:
             raise ValueError("need a finite --lambda-max > 1")
         if not 0 < self.tanh_a < math.inf:
             raise ValueError("need a finite --tanh-a > 0")
-
-    def check_m(self, n: int):
-        """Reject an explicit --m outside [1, n] when RSG or DIG runs; SSG ignores it."""
-        if self.m is not None and {RSG, DIG} & set(self.methods) and not 1 <= self.m <= n:
-            raise UsageError(f"need 1 <= --m <= n = {n} for RSG and DIG, got --m {self.m}")
 
 
 def build_dataset(spec: ExperimentSpec) -> Dataset:
@@ -233,28 +226,23 @@ def _atomic_open(path: Path):
         tmp.unlink(missing_ok=True)
 
 
-def _write_trace(path: Path, trace: ChainTrace):
+def _write_rows(path: Path, header, rows):
+    """Write a CSV file of a header and rows; csv writes each value with ``str``, a float's ``repr``."""
     with _atomic_open(path) as fh:
         w = csv.writer(fh)
-        w.writerow(["iter", "wall_ns", "cll", "lambda", "ess", "g_weight", "occupied"])
-        for t in range(trace.T):
-            w.writerow([
-                int(trace.iteration[t]),
-                int(trace.wall_clock_ns[t]),
-                repr(float(trace.cll[t])),
-                repr(float(trace.lam[t])),
-                repr(float(trace.ess[t])),
-                repr(float(trace.g_weight[t])),
-                int(trace.occupied[t]),
-            ])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _write_trace(path: Path, trace: ChainTrace):
+    columns = (trace.iteration, trace.wall_clock_ns, trace.cll, trace.lam, trace.ess, trace.g_weight,
+               trace.occupied)
+    _write_rows(path, ["iter", "wall_ns", "cll", "lambda", "ess", "g_weight", "occupied"],
+                zip(*(c.tolist() for c in columns)))
 
 
 def _write_kv(path: Path, items):
-    with _atomic_open(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["key", "value"])
-        for k, v in items:
-            w.writerow([k, repr(v) if isinstance(v, float) else v])
+    _write_rows(path, ["key", "value"], items)
 
 
 def _write_matrix(path: Path, counts, S: int):
@@ -347,11 +335,17 @@ def summarize_method(
 
 def run_experiment(spec: ExperimentSpec) -> int:
     """Run all method x replica chains and write artifacts; returns exit code contribution."""
-    spec.validate()
-    dataset = build_dataset(spec)
-    spec.check_m(dataset.n)
-    k_fit = default_k_fit(spec, dataset)
-    prior = empirical_bayes_hyperparams(dataset, k_fit)
+    try:
+        spec.validate()
+        dataset = build_dataset(spec)
+        k_fit = default_k_fit(spec, dataset)
+        prior = empirical_bayes_hyperparams(dataset, k_fit)
+        if spec.m is not None and {RSG, DIG} & set(spec.methods) and not 1 <= spec.m <= dataset.n:
+            raise ValueError(f"need 1 <= --m <= n = {dataset.n} for RSG and DIG, got --m {spec.m}")
+    except CsvError:        # the file is at fault: an I/O error
+        raise
+    except ValueError as exc:
+        raise UsageError(exc) from exc
     m = spec.m if spec.m is not None else default_m(dataset.n)
 
     out = Path(spec.out_dir)
@@ -407,12 +401,8 @@ def run_experiment(spec: ExperimentSpec) -> int:
             print(f"warning: alpha_gap.csv not written: {ssg0.discomfort_reference_count} post-burn-in "
                   f"SSG reference samples, fewer than {MIN_REFERENCE_SAMPLES}", file=sys.stderr)
         elif dig0.alpha_snapshots:
-            gaps = alpha_limit_check(dig0, ssg0)
-            with _atomic_open(out / "alpha_gap.csv") as fh:
-                w = csv.writer(fh)
-                w.writerow(["iter", "max_abs_gap"])
-                for t in sorted(gaps):
-                    w.writerow([t, repr(gaps[t])])
+            _write_rows(out / "alpha_gap.csv", ["iter", "max_abs_gap"],
+                        sorted(alpha_limit_check(dig0, ssg0).items()))
     return EXIT_OK
 
 
@@ -499,7 +489,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         spec = spec_from_args(args)
-        spec.validate()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -91,9 +91,12 @@ def load_csv(path, label_column=None) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+    # utf-8-sig drops a leading byte-order mark, as spreadsheets write one.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            rows = [row for row in csv.reader(fh) if row]
+        except UnicodeDecodeError as exc:
+            raise CsvError(f"not UTF-8 text: {exc}") from None
     if not rows:
         raise CsvError("empty file")
     header, rows = rows[0], rows[1:]
@@ -123,13 +126,17 @@ def load_csv(path, label_column=None) -> Dataset:
     if not np.all(np.isfinite(values)):
         raise CsvError("NaN or infinite value in input")
 
-    if label_idx is None:
-        return Dataset(x=values)
-    labels = values[:, label_idx]
-    if not np.array_equal(labels, np.round(labels)):
-        raise CsvError("label column must be integer-valued")
-    x = np.delete(values, label_idx, axis=1)
-    return Dataset(x=x, labels=labels.astype(int))
+    labels = None
+    if label_idx is not None:
+        labels = values[:, label_idx]
+        if not np.array_equal(labels, np.round(labels)):
+            raise CsvError("label column must be integer-valued")
+        labels = labels.astype(int)
+        values = np.delete(values, label_idx, axis=1)
+    try:
+        return Dataset(x=values, labels=labels)
+    except ValueError as exc:
+        raise CsvError(exc) from None
 
 
 def standardize(dataset: Dataset):

@@ -92,8 +92,8 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     ka, kb = ai.max() + 1, bi.max() + 1
-    contingency = np.zeros((ka, kb))
-    np.add.at(contingency, (ai, bi), 1)
+    # Whole counts, so the table and every sum below are exact in any dtype.
+    contingency = np.bincount((ai * kb + bi).ravel(), minlength=ka * kb).reshape(ka, kb)
 
     def comb2(v):
         return v * (v - 1) / 2.0

@@ -151,9 +151,17 @@ class ResponsibilityMatrix:
     p: np.ndarray
 
 
-def pass_blocks(n: int) -> list[slice]:
-    """The row blocks of a full pass over n rows: ``PASS_ROWS`` rows each, the last one the rest."""
-    return [slice(lo, min(lo + PASS_ROWS, n)) for lo in range(0, n, PASS_ROWS)]
+def pass_blocks(dataset: Dataset, P: np.ndarray) -> list[tuple]:
+    """The row blocks of a full pass over ``dataset`` into the (n, K) buffer ``P``.
+
+    Blocks hold ``PASS_ROWS`` rows each, the last one the rest.  Each is
+    ``(rows, x, xsq, P, work)``: its row slice, its rows of x, x**2 and ``P``,
+    and its rows of one scratch that all blocks share.
+    """
+    n = dataset.n
+    work = np.empty((min(n, PASS_ROWS), P.shape[1]))
+    return [(rows, dataset.x[rows], dataset.xsq[rows], P[rows], work[:rows.stop - rows.start])
+            for rows in (slice(lo, min(lo + PASS_ROWS, n)) for lo in range(0, n, PASS_ROWS))]
 
 
 def log_density_matrix(x: np.ndarray, xsq: np.ndarray, state: MixtureState, out=None,
@@ -193,22 +201,15 @@ def _normalise_rows(logp: np.ndarray) -> np.ndarray:
     return logp
 
 
-def refresh_responsibilities(dataset: Dataset, state: MixtureState, out=None,
-                             work=None) -> ResponsibilityMatrix:
-    """Full (n, K) recomputation of the responsibility matrix.
+def refresh_responsibilities(dataset: Dataset, state: MixtureState, out=None) -> ResponsibilityMatrix:
+    """Full (n, K) recomputation of the responsibility matrix, into ``out`` when given.
 
     The pass runs in the row blocks of :func:`pass_blocks`; each row's
-    probabilities are those of one whole-matrix pass, bit for bit.  The
-    matrix is written into ``out`` when given, and ``work`` is a
-    ``(min(n, PASS_ROWS), K)`` scratch; whatever is left out is allocated.
+    probabilities are those of one whole-matrix pass, bit for bit.
     """
-    n, K = dataset.n, state.K
-    p = np.empty((n, K)) if out is None else out
-    if work is None:
-        work = np.empty((min(n, PASS_ROWS), K))
-    for rows in pass_blocks(n):
-        _normalise_rows(log_density_matrix(dataset.x[rows], dataset.xsq[rows], state, out=p[rows],
-                                           work=work[:rows.stop - rows.start]))
+    p = np.empty((dataset.n, state.K)) if out is None else out
+    for _, x, xsq, P, work in pass_blocks(dataset, p):
+        _normalise_rows(log_density_matrix(x, xsq, state, out=P, work=work))
     return ResponsibilityMatrix(p=p)
 
 

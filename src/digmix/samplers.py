@@ -25,7 +25,6 @@ from .adaptation import (
     weight_pair,
 )
 from .model import (
-    PASS_ROWS,
     VARIANCE_FLOOR,
     Dataset,
     MixtureState,
@@ -169,11 +168,9 @@ class _SystematicScan:
     """
 
     def __init__(self, dataset: Dataset, K: int, m: int, config: SamplerConfig):
-        n = self.n = dataset.n
-        self.P = np.empty((n, K))
-        work = np.empty((min(n, PASS_ROWS), K))
-        self.blocks = [(rows, dataset.x[rows], dataset.xsq[rows], self.P[rows],
-                        work[:rows.stop - rows.start]) for rows in pass_blocks(n)]
+        self.n = dataset.n
+        self.P = np.empty((dataset.n, K))
+        self.blocks = pass_blocks(dataset, self.P)
 
     def __call__(self, t: int, state: MixtureState, rng):
         z = np.empty(self.n, dtype=np.intp)
@@ -250,7 +247,6 @@ class _AdaptiveScan(_RandomScan):
         self.ess = np.nan
         self.g = np.nan
         self.full = np.empty((n, K))
-        self.full_work = np.empty((min(n, PASS_ROWS), K))
         self.idx_n = np.arange(n)
         self.idx_m = np.arange(m)
         self.d_buf = np.empty(n)
@@ -260,8 +256,8 @@ class _AdaptiveScan(_RandomScan):
         if refresh_due(t, self.T):      # always at t = 1
             # p_{i,z_i}, read by this refresh only but held until the next: as a
             # local it raised the benchmark's large-n peak RSS from 166 to 171 MB.
-            self.p_assigned = refresh_responsibilities(self.dataset, state, out=self.full,
-                                                       work=self.full_work).p[self.idx_n, state.z]
+            self.p_assigned = refresh_responsibilities(self.dataset, state,
+                                                       out=self.full).p[self.idx_n, state.z]
             lambda_schedule(adaptive, t <= self.schedule.s, self.p_assigned, self.m)
             self.ess = ess(self.p_assigned, adaptive.lam)
             self.discomfort = discomfort(self.p_assigned, adaptive.lam)

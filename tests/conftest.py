@@ -1,0 +1,29 @@
+"""Shared fixtures."""
+
+import os
+
+import pytest
+
+# The float64 exp and log loops, and the OpenBLAS kernels, under which the
+# golden digests were recorded.  numpy's X86_V4 (AVX-512) exp and log give
+# some results a different last bit than its X86_V3 and baseline loops do,
+# and OpenBLAS's kernels differ likewise, so a float-bearing digest holds
+# only on a host that dispatches the same ones.
+RECORDED_DISPATCH = "exp X86_V4, log X86_V4, OpenBLAS SkylakeX"
+
+
+@pytest.fixture
+def golden_host():
+    """Failure text for a float-bearing golden digest: the loops in use here beside the recorded ones."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:         # numpy < 2 cannot report its loops
+        here = "unknown"
+    else:
+        info = opt_func_info(func_name="^(exp|log)$", signature="float64")
+        here = ", ".join(f"{name} {loop['current']}" for name, sigs in sorted(info.items())
+                         for loop in sigs.values())
+    coretype = os.environ.get("OPENBLAS_CORETYPE", "not set")
+    return (f"digests recorded under {RECORDED_DISPATCH}; this host runs {here}, "
+            f"OPENBLAS_CORETYPE {coretype}.  On a host that differs, compare with the "
+            "parent commit's digests taken on the same host (tests/test_sufficient_stats.py).")

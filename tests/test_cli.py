@@ -205,7 +205,9 @@ def test_only_first_replica_keeps_snapshots(tmp_path, monkeypatch):
 
 # Digests of the files written by GOLDEN_ARGS, recorded before replicas >= 1
 # stopped taking snapshots and before the PSM writer stopped calling savetxt.
-# Trace files are hashed without their wall_ns column.
+# Trace files are hashed without their wall_ns column.  Like the trace digests
+# of test_sufficient_stats.py, these hold only on a host that runs the numpy
+# and OpenBLAS loops they were recorded under.
 GOLDEN_ARGS = ["--n", "300", "--iters", "200", "--window", "50", "--replicas", "2", "--threads", "1"]
 GOLDEN_DIGESTS = {
     "alpha_gap.csv": "a3c2705592663c6dfc811f523957e3cac603326050411dc81c616de48fae2351",
@@ -235,17 +237,17 @@ def output_digests(out):
     return digests
 
 
-def test_golden_output_digests(tmp_path):
+def test_golden_output_digests(tmp_path, golden_host):
     out = tmp_path / "run"
     assert main([*GOLDEN_ARGS, "--out-dir", str(out)]) == EXIT_OK
-    assert output_digests(out) == GOLDEN_DIGESTS
+    assert output_digests(out) == GOLDEN_DIGESTS, golden_host
 
 
-def test_golden_output_digests_in_pool(tmp_path):
+def test_golden_output_digests_in_pool(tmp_path, golden_host):
     # Pool workers write their own chains' files; the later --threads wins.
     out = tmp_path / "run"
     assert main([*GOLDEN_ARGS, "--threads", "2", "--out-dir", str(out)]) == EXIT_OK
-    assert output_digests(out) == GOLDEN_DIGESTS
+    assert output_digests(out) == GOLDEN_DIGESTS, golden_host
 
 
 def random_snapshots(n, K, S, seed=0):
@@ -301,6 +303,17 @@ def test_write_matrix_rejects_values_off_the_grid(tmp_path):
         with pytest.raises(ValueError, match="rows 200..299 .*k/7"):
             cli._write_matrix(tmp_path / "psm.csv", (blocks[:200], blocks[200:]), 7)
         assert list(tmp_path.iterdir()) == []
+
+
+def test_write_kv_bytes(tmp_path):
+    # The golden digests skip the summaries (they hold wall-clock seconds),
+    # so this pins the bytes a key/value file gets: each float as its repr.
+    path = tmp_path / "summary.csv"
+    cli._write_kv(path, [("method", "DIG"), ("n", 1000), ("m", -3), ("sum", 0.1 + 0.2),
+                         ("tiny", 1e-300), ("negzero", -0.0), ("nan", float("nan")), ("big", 1e16)])
+    assert path.read_bytes() == (b"key,value\r\nmethod,DIG\r\nn,1000\r\nm,-3\r\nsum,0.30000000000000004\r\n"
+                                 b"tiny,1e-300\r\nnegzero,-0.0\r\nnan,nan\r\nbig,1e+16\r\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
 
 
 @pytest.mark.parametrize("target", ["trace_dig_01.csv", "summary_ssg.csv", "psm_dig_00.csv",
@@ -505,6 +518,28 @@ def test_main_rejects_m_outside_range(tmp_path, capsys, m):
     assert not out.exists() or not any(out.glob("trace_*.csv"))
     # SSG-only runs ignore --m.
     assert main(["--n", "60", "--methods", "ssg", "--snapshot-every", "0", *base]) == EXIT_OK
+
+
+@pytest.mark.parametrize("text,flags,code,message", [
+    ("a,b\n1,2\n3,5\n4,4\n", [], EXIT_USAGE, "error: --k-fit is required for unlabeled CSV data"),
+    ("a,lab\n1,1\n2,3\n3,1\n", ["--label-col", "lab"], EXIT_IO,
+     "I/O error: labels must be a contiguous range starting at 0 or 1"),
+    ("lab\n0\n1\n0\n", ["--label-col", "lab"], EXIT_IO, "I/O error: need n >= 1 and d >= 1"),
+    ("a,b\n1,2\n", ["--k-fit", "2"], EXIT_USAGE, "error: need n >= 2"),
+    ("a,b\n1,7\n2,7\n3,7\n", ["--k-fit", "2"], EXIT_USAGE, "error: degenerate column"),
+    ("a,b\n1,7\n2,7\n3,7\n", ["--k-fit", "2", "--standardize", "on"], EXIT_USAGE,
+     "error: degenerate column"),
+], ids=["unlabeled-no-k", "label-gap", "label-only", "one-row", "constant", "constant-standardized"])
+def test_csv_input_errors_exit_before_any_chain(tmp_path, capsys, text, flags, code, message):
+    # Data the command cannot fit are input errors (2), or CSV errors (3)
+    # when the file itself is at fault, never numerical failures (4).
+    p = tmp_path / "d.csv"
+    p.write_text(text)
+    out = tmp_path / "run"
+    assert main(["--data", "csv", "--csv-path", str(p), "--iters", "20", "--window", "5",
+                 "--replicas", "2", "--threads", "1", "--out-dir", str(out), *flags]) == code
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", POOL_THREADS)

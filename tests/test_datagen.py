@@ -132,6 +132,27 @@ def test_load_csv_error_taxonomy(tmp_path):
         load_csv(_write(tmp_path, "a,b\n1,nan\n", "nan.csv"))
     with pytest.raises(CsvError):
         load_csv(_write(tmp_path, "a,b\n1,2.5\n", "fraclabel.csv"), label_column="b")
+    # The Dataset checks, raised as the CSV errors they are.
+    with pytest.raises(CsvError, match="contiguous range"):
+        load_csv(_write(tmp_path, "a,b\n1,1\n2,3\n", "gaplabel.csv"), label_column="b")
+    with pytest.raises(CsvError, match="d >= 1"):
+        load_csv(_write(tmp_path, "b\n0\n1\n", "labelonly.csv"), label_column="b")
+    p = tmp_path / "latin1.csv"
+    p.write_bytes("a,b\n1,2\n\u00e9,3\n".encode("latin-1"))
+    with pytest.raises(CsvError, match="not UTF-8"):
+        load_csv(p)
+
+
+def test_load_csv_reads_a_byte_order_mark(tmp_path):
+    # Spreadsheets save "CSV UTF-8" with a leading U+FEFF; the first column
+    # must still be found by its name.
+    text = "lab,a,b\n1,0.5,2.0\n2,1.5,-1.0\n1,3.0,4.0\n"
+    plain = load_csv(_write(tmp_path, text, "plain.csv"), label_column="lab")
+    marked = load_csv(_write(tmp_path, "\ufeff" + text, "bom.csv"), label_column="lab")
+    assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    np.testing.assert_array_equal(marked.x, plain.x)
+    np.testing.assert_array_equal(marked.labels, plain.labels)
+    np.testing.assert_array_equal(plain.labels, [0, 1, 0])
 
 
 @pytest.mark.parametrize("label", ["2.99999", "99999.5"])

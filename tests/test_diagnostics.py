@@ -146,6 +146,55 @@ def test_ari_symmetric_and_bounded(labels):
     assert -1.0 - 1e-9 <= ab <= 1.0 + 1e-9
 
 
+def _ari_float_table(a, b):
+    """The ARI with its contingency table built as floats by ``np.add.at``; the bit-level oracle."""
+    a, b = np.asarray(a), np.asarray(b)
+    _, ai = np.unique(a, return_inverse=True)
+    _, bi = np.unique(b, return_inverse=True)
+    contingency = np.zeros((ai.max() + 1, bi.max() + 1))
+    np.add.at(contingency, (ai, bi), 1)
+
+    def comb2(v):
+        return v * (v - 1) / 2.0
+
+    sum_ij = comb2(contingency).sum()
+    sum_a = comb2(contingency.sum(axis=1)).sum()
+    sum_b = comb2(contingency.sum(axis=0)).sum()
+    expected = sum_a * sum_b / comb2(a.size)
+    max_index = 0.5 * (sum_a + sum_b)
+    if max_index == expected:
+        return 1.0 if np.array_equal(ai, bi) else 0.0
+    return float((sum_ij - expected) / (max_index - expected))
+
+
+def _noisy_copy(labels, values, rng, frac=0.3):
+    """``labels`` with a fraction of its entries replaced by draws from ``values``."""
+    out = labels.copy()
+    moved = rng.random(labels.size) < frac
+    out[moved] = rng.choice(values, moved.sum())
+    return out
+
+
+@pytest.mark.parametrize("case", ["n1e5-K20", "gaps", "negative", "strings", "small"])
+def test_ari_bits_match_the_float_table(case):
+    rng = np.random.default_rng(11)
+    if case == "n1e5-K20":
+        values, n = np.arange(20), 100_000
+    elif case == "gaps":
+        values, n = np.array([0, 3, 4, 17, 1000]), 5000
+    elif case == "negative":
+        values, n = np.array([-7, -2, -1, 0, 5]), 5000
+    elif case == "strings":
+        values, n = np.array(["ant", "bee", "cat", "dog"]), 3000
+    else:
+        values, n = np.arange(3), 12
+    a = rng.choice(values, n)
+    b = _noisy_copy(a, values, rng)
+    other = rng.choice(values[::-1], n)       # independent of a, listed in another order
+    for x, y in ((a, b), (b, a), (a, other), (a, a)):
+        assert adjusted_rand_index(x, y) == _ari_float_table(x, y)
+
+
 def test_ari_validation():
     with pytest.raises(ValueError):
         adjusted_rand_index([0, 1], [0])

@@ -5,6 +5,16 @@ incrementally kept statistics against a full recompute, the statistics-based
 complete-data log-likelihood against a row-wise sum, occupancy against a
 bincount of the allocations, and the discrete trajectories against a digest
 taken before the statistics were shared.
+
+The digests that hash floats hold only where numpy and OpenBLAS run the
+loops they were recorded under (see ``RECORDED_DISPATCH`` in conftest.py);
+each such test's failure message names the loops in use.  On another host,
+check a change against its parent commit instead: unpack the parent with
+``git archive <parent> | tar -x -C <dir>``, run
+``python -m pytest -q -k golden --tb=short`` in both trees, and compare the
+digests each failing assertion prints (README, "Install and test").  A
+change that keeps every bit fails the same tests with the same digests as
+its parent.
 """
 
 import hashlib
@@ -260,7 +270,7 @@ def trace_digest(tr):
 
 @pytest.mark.parametrize("cll_mode", ["running", "state"])
 @pytest.mark.parametrize("method", [SSG, RSG, DIG])
-def test_golden_trace_digest(method, cll_mode):
+def test_golden_trace_digest(method, cll_mode, golden_host):
     ds, prior = golden_config()
     # A low bound on lambda, so that DIG's trace carries its bound warning;
     # SSG collects the discomfort reference.
@@ -268,7 +278,7 @@ def test_golden_trace_digest(method, cll_mode):
                                                Lambda=1.5, cll_mode=cll_mode,
                                                collect_discomfort_reference=method == SSG))
     assert (method != DIG) or tr.warnings
-    assert trace_digest(tr) == GOLDEN_TRACE[method, cll_mode]
+    assert trace_digest(tr) == GOLDEN_TRACE[method, cll_mode], golden_host
 
 
 # SHA-256 of a whole ChainTrace, per method and K, for the configuration in
@@ -288,9 +298,9 @@ GOLDEN_MULTI_BLOCK = {
 
 @pytest.mark.parametrize("K", [3, 20])
 @pytest.mark.parametrize("method", [SSG, RSG, DIG])
-def test_golden_multi_block_trace_digest(method, K):
+def test_golden_multi_block_trace_digest(method, K, golden_host):
     ds = miller(n=2 * 8192 + 27, d=10, seed=6)
     prior = empirical_bayes_hyperparams(ds, K)
     tr = run_chain(ds, K, prior, SamplerConfig(method=method, T=12, m=300, seed=8, snapshot_every=5,
                                                collect_discomfort_reference=method == SSG))
-    assert trace_digest(tr) == GOLDEN_MULTI_BLOCK[method, K]
+    assert trace_digest(tr) == GOLDEN_MULTI_BLOCK[method, K], golden_host
