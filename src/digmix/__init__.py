@@ -9,7 +9,6 @@ Three allocation samplers over a shared diagonal-covariance mixture model:
 """
 
 from .adaptation import (
-    AdaptiveState,
     WeightSchedule,
     discomfort,
     ess,
@@ -64,7 +63,7 @@ from .samplers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveState", "ChainTrace", "ConvergenceReport", "CsvError", "DIG",
+    "ChainTrace", "ConvergenceReport", "CsvError", "DIG",
     "Dataset", "ExperimentSpec", "MixtureState", "NonNumericCellError",
     "PriorSpec", "RSG", "RaggedRowsError", "SSG", "SamplerConfig",
     "WeightSchedule", "adjusted_rand_index", "alpha_limit_check",

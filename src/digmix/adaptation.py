@@ -18,25 +18,11 @@ Z_99 = 2.326348
 
 
 @dataclass
-class AdaptiveState:
-    """Per-chain adaptation variables: lambda, its bounds and the refresh counters."""
-
-    lam: float
-    Lambda: float = 100.0
-    lambda_at_bound_count: int = 0
-    refresh_count: int = 0
-
-    def __post_init__(self):
-        if not 1.0 <= self.lam <= self.Lambda < math.inf:     # NaN fails it too
-            raise ValueError("lambda must lie in [1, Lambda], with Lambda finite")
-
-
-@dataclass
 class WeightSchedule:
     """Hyperbolic-tangent weights up to s, polynomial decay afterwards."""
 
     s: int
-    a: float = 1.0
+    a: float
 
     def __post_init__(self):
         if not (0 < self.a < math.inf and self.s >= 1):     # NaN fails it too
@@ -125,33 +111,23 @@ def solve_lambda(p_assigned_vec, m: float, Lambda: float, lam0: float = 1.0) -> 
         lam = nxt
 
 
-def lambda_schedule(adaptive: AdaptiveState, greedy: bool, p_assigned_vec, m: float) -> float:
-    """New lambda at a responsibility-matrix refresh event.
+def lambda_schedule(lam: float, greedy: bool, p_assigned_vec, m: float, Lambda: float) -> float:
+    """New lambda at a responsibility-matrix refresh event, from the previous ``lam``.
 
     The greedy phase (t <= s, as the caller's schedule tells) re-solves the
-    ESS equation; afterwards lambda is pinned at 1.  Counters feed the bound
-    warning.
+    ESS equation on [1, Lambda]; afterwards lambda is pinned at 1.
     """
-    if greedy:
-        lam = solve_lambda(p_assigned_vec, m, adaptive.Lambda, adaptive.lam)
-        adaptive.refresh_count += 1
-        if lam >= adaptive.Lambda:
-            adaptive.lambda_at_bound_count += 1
-    else:
-        lam = 1.0
-    adaptive.lam = lam
-    return lam
+    return solve_lambda(p_assigned_vec, m, Lambda, lam) if greedy else 1.0
 
 
-def lambda_bound_warning(adaptive: AdaptiveState) -> str | None:
-    """Warn when lambda sat at its upper bound for over 25% of adaptation refreshes."""
-    if adaptive.refresh_count == 0:
+def lambda_bound_warning(at_bound: int, refreshes: int, Lambda: float) -> str | None:
+    """Warn when lambda sat at its upper bound ``Lambda`` in over 25% of the greedy refreshes."""
+    if refreshes == 0:
         return None
-    frac = adaptive.lambda_at_bound_count / adaptive.refresh_count
+    frac = at_bound / refreshes
     if frac > 0.25:
         return (
-            f"lambda hit its upper bound {adaptive.Lambda:g} in "
-            f"{adaptive.lambda_at_bound_count}/{adaptive.refresh_count} adaptation refreshes "
+            f"lambda hit its upper bound {Lambda:g} in {at_bound}/{refreshes} adaptation refreshes "
             f"({100 * frac:.0f}%); consider raising the bound"
         )
     return None

@@ -104,18 +104,18 @@ class ExperimentSpec:
     k_fit: int | None = None
     methods: list[str] = field(default_factory=lambda: [SSG, RSG, DIG])
     replicas: int = 20
-    iters: int = 5000
+    iters: int = SamplerConfig.T
     m: int | None = None
-    lambda_max: float = 100.0
-    tanh_a: float = 1.0
-    seed: int = 0
+    lambda_max: float = SamplerConfig.Lambda
+    tanh_a: float = SamplerConfig.tanh_a
+    seed: int = SamplerConfig.seed
     data_seed: int | None = None
     window: int = 1000
-    snapshot_every: int = 10
+    snapshot_every: int = SamplerConfig.snapshot_every
     out_dir: str = "out"
     threads: int | None = None
     standardize: bool | None = None   # None: family default
-    cll_mode: str = "running"
+    cll_mode: str = SamplerConfig.cll_mode
 
     def validate(self):
         if self.data not in _FAMILIES:
@@ -270,6 +270,11 @@ def _write_psm(path: Path, snapshots):
     _write_matrix(path, pair_count_blocks(snapshots), len(snapshots))
 
 
+def _sd(v: np.ndarray) -> float:
+    """Sample standard deviation; 0 for a single value."""
+    return float(v.std(ddof=1)) if len(v) > 1 else 0.0
+
+
 def summarize_method(
     method: str,
     traces: list[ChainTrace],
@@ -290,7 +295,7 @@ def summarize_method(
         ("m", traces[0].m),
         ("window", spec.window),
         ("cll_tail_mean", float(tail_means.mean())),
-        ("cll_tail_sd", float(tail_means.std(ddof=1)) if len(traces) > 1 else 0.0),
+        ("cll_tail_sd", _sd(tail_means)),
         ("occupied_final_mode", int(np.bincount(occ_final).argmax())),
         ("occupied_final_mean", float(occ_final.mean())),
     ]
@@ -313,9 +318,9 @@ def summarize_method(
             ("t2c_converged", converged),
             ("t2c_iters_mean", float(iters.mean())),
             ("t2c_seconds_mean", float(secs.mean())),
-            ("t2c_seconds_sd", float(secs.std(ddof=1)) if len(secs) > 1 else 0.0),
+            ("t2c_seconds_sd", _sd(secs)),
             ("t2c_epochs_mean", float(eps.mean())),
-            ("t2c_epochs_sd", float(eps.std(ddof=1)) if len(eps) > 1 else 0.0),
+            ("t2c_epochs_sd", _sd(eps)),
             ("reference_cll_mean", float(reference[0])),
             ("reference_cll_var", float(reference[1])),
         ]
@@ -323,7 +328,7 @@ def summarize_method(
         ari_final = np.array([adjusted_rand_index(tr.final_state.z, dataset.labels) for tr in traces])
         items += [
             ("ari_final_mean", float(ari_final.mean())),
-            ("ari_final_sd", float(ari_final.std(ddof=1)) if len(traces) > 1 else 0.0),
+            ("ari_final_sd", _sd(ari_final)),
         ]
         tr0 = traces[0]
         snaps = [tr0.snapshots[t] for t in sorted(tr0.snapshots) if t > tr0.T - spec.window]
@@ -342,29 +347,29 @@ def run_experiment(spec: ExperimentSpec) -> int:
         prior = empirical_bayes_hyperparams(dataset, k_fit)
         if spec.m is not None and {RSG, DIG} & set(spec.methods) and not 1 <= spec.m <= dataset.n:
             raise ValueError(f"need 1 <= --m <= n = {dataset.n} for RSG and DIG, got --m {spec.m}")
+        m = spec.m if spec.m is not None else default_m(dataset.n)
+        out = Path(spec.out_dir)
+        jobs = []
+        for method in spec.methods:
+            for rep in range(spec.replicas):
+                config = SamplerConfig(
+                    method=method,
+                    T=spec.iters,
+                    m=None if method == SSG else m,
+                    Lambda=spec.lambda_max,
+                    tanh_a=spec.tanh_a,
+                    seed=spec.seed + rep,
+                    snapshot_every=spec.snapshot_every if rep == 0 else 0,
+                    cll_mode=spec.cll_mode,
+                    collect_discomfort_reference=(method == SSG and rep == 0),
+                )
+                jobs.append(((dataset, k_fit, prior, config), rep, out))
     except CsvError:        # the file is at fault: an I/O error
         raise
     except ValueError as exc:
         raise UsageError(exc) from exc
-    m = spec.m if spec.m is not None else default_m(dataset.n)
 
-    out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = []
-    for method in spec.methods:
-        for rep in range(spec.replicas):
-            config = SamplerConfig(
-                method=method,
-                T=spec.iters,
-                m=None if method == SSG else m,
-                Lambda=spec.lambda_max,
-                tanh_a=spec.tanh_a,
-                seed=spec.seed + rep,
-                snapshot_every=spec.snapshot_every if rep == 0 else 0,
-                cll_mode=spec.cll_mode,
-                collect_discomfort_reference=(method == SSG and rep == 0),
-            )
-            jobs.append(((dataset, k_fit, prior, config), rep, out))
 
     workers = spec.threads if spec.threads else (os.cpu_count() or 1)
     if workers > 1 and len(jobs) > 1:
@@ -497,7 +502,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, OSError, CsvError) as exc:
+    except (OSError, CsvError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, FloatingPointError, RuntimeError) as exc:

@@ -8,13 +8,13 @@ upkeep and the weight and parameter draws; an untimed recorder keeps the trace.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .adaptation import (
-    AdaptiveState,
     WeightSchedule,
     discomfort,
     ess,
@@ -94,7 +94,6 @@ class ChainTrace:
     method: str
     n: int
     m: int                                 # effective per-iteration update count
-    iteration: np.ndarray                  # (T,) 1-based
     wall_clock_ns: np.ndarray              # (T,) cumulative sampling time
     cll: np.ndarray
     lam: np.ndarray
@@ -110,11 +109,20 @@ class ChainTrace:
     s: int | None = None                   # DIG transition point
     alpha_snapshots: dict[int, np.ndarray] = field(default_factory=dict)
     discomfort_reference: np.ndarray | None = None
-    discomfort_reference_count: int = 0
 
     @property
     def T(self) -> int:
-        return len(self.iteration)
+        return len(self.wall_clock_ns)
+
+    @property
+    def iteration(self) -> np.ndarray:
+        """(T,) iteration numbers, 1-based."""
+        return np.arange(1, self.T + 1)
+
+    @property
+    def discomfort_reference_count(self) -> int:
+        """Iterations the discomfort reference averaged: the second half, t > T // 2."""
+        return 0 if self.discomfort_reference is None else self.T - self.T // 2
 
 
 def init_state(dataset: Dataset, K: int, prior: PriorSpec, rng) -> MixtureState:
@@ -163,21 +171,19 @@ class _SystematicScan:
     density, normalisation and draws before the next block's.  Each block
     continues the uniform stream where the last one stopped, so the draws
     are those of one whole-matrix pass, bit for bit.  The pass leaves the
-    probabilities in the (n, K) buffer ``P``; it returns no moved rows, so
-    the statistics are recomputed.
+    probabilities in the (n, K) buffer ``P`` and writes each block's draws
+    into ``state.z``; it returns no moved rows, so the statistics are
+    recomputed.
     """
 
     def __init__(self, dataset: Dataset, K: int, m: int, config: SamplerConfig):
-        self.n = dataset.n
         self.P = np.empty((dataset.n, K))
         self.blocks = pass_blocks(dataset, self.P)
 
     def __call__(self, t: int, state: MixtureState, rng):
-        z = np.empty(self.n, dtype=np.intp)
         for rows, x, xsq, P, work in self.blocks:
             _normalise_rows(log_density_matrix(x, xsq, state, out=P, work=work))
-            z[rows] = sample_allocations_rows(P, rng)
-        state.z = z
+            state.z[rows] = sample_allocations_rows(P, rng)
 
 
 class _RandomScan:
@@ -235,14 +241,21 @@ class _AdaptiveScan(_RandomScan):
     :func:`discomfort`: computed anew from the full responsibility pass at
     each refresh, where lambda may change, and overwritten on the m redrawn
     rows from their fresh probability rows.
+
+    lambda starts at 1 and is re-solved in [1, Lambda] at each greedy refresh
+    (t <= s); ``refreshes`` counts those refreshes and ``at_bound`` the ones
+    whose lambda reached Lambda, for the bound warning.
     """
 
     def __init__(self, dataset: Dataset, K: int, m: int, config: SamplerConfig):
         super().__init__(dataset, K, m, config)
+        if not 1.0 <= config.Lambda < math.inf:     # NaN fails it too
+            raise ValueError("lambda must lie in [1, Lambda], with Lambda finite")
         n = dataset.n
-        self.dataset, self.T = dataset, config.T
+        self.dataset, self.T, self.Lambda = dataset, config.T, config.Lambda
         self.schedule = WeightSchedule(s=transition_point(n, K, m), a=config.tanh_a)
-        self.adaptive = AdaptiveState(lam=1.0, Lambda=config.Lambda)
+        self.lam = 1.0
+        self.refreshes = self.at_bound = 0
         self.alpha_raw = np.full(n, 1.0 / n)
         self.ess = np.nan
         self.g = np.nan
@@ -252,15 +265,18 @@ class _AdaptiveScan(_RandomScan):
         self.d_buf = np.empty(n)
 
     def select(self, t: int, state: MixtureState, rng):
-        adaptive = self.adaptive
         if refresh_due(t, self.T):      # always at t = 1
             # p_{i,z_i}, read by this refresh only but held until the next: as a
             # local it raised the benchmark's large-n peak RSS from 166 to 171 MB.
             self.p_assigned = refresh_responsibilities(self.dataset, state,
                                                        out=self.full).p[self.idx_n, state.z]
-            lambda_schedule(adaptive, t <= self.schedule.s, self.p_assigned, self.m)
-            self.ess = ess(self.p_assigned, adaptive.lam)
-            self.discomfort = discomfort(self.p_assigned, adaptive.lam)
+            greedy = t <= self.schedule.s
+            self.lam = lambda_schedule(self.lam, greedy, self.p_assigned, self.m, self.Lambda)
+            if greedy:
+                self.refreshes += 1
+                self.at_bound += self.lam >= self.Lambda
+            self.ess = ess(self.p_assigned, self.lam)
+            self.discomfort = discomfort(self.p_assigned, self.lam)
         f, self.g = weight_pair(t, self.schedule)
         self.alpha_raw *= f
         np.multiply(self.discomfort, self.g, out=self.d_buf)
@@ -271,7 +287,7 @@ class _AdaptiveScan(_RandomScan):
         return idx, idx
 
     def redrawn(self, idx: np.ndarray, rows: np.ndarray, new_z: np.ndarray):
-        self.discomfort[idx] = discomfort(rows[self.idx_m, new_z], self.adaptive.lam)
+        self.discomfort[idx] = discomfort(rows[self.idx_m, new_z], self.lam)
 
 
 _STEPS = {SSG: _SystematicScan, RSG: _RandomScan, DIG: _AdaptiveScan}
@@ -291,11 +307,10 @@ class _Recorder:
         self.dataset, self.step, self.config = dataset, step, config
         self.dig = step if config.method == DIG else None
         self.trace = ChainTrace(
-            method=config.method, n=n, m=m, iteration=np.arange(1, T + 1),
-            wall_clock_ns=np.empty(T, dtype=np.int64), cll=np.empty(T), lam=np.full(T, np.nan),
-            ess=np.full(T, np.nan), g_weight=np.full(T, np.nan), occupied=np.empty(T, dtype=int),
-            snapshots={}, final_state=state, initial_state=state.copy(), allocation_draws=T * m,
-            s=None if self.dig is None else self.dig.schedule.s,
+            method=config.method, n=n, m=m, wall_clock_ns=np.empty(T, dtype=np.int64), cll=np.empty(T),
+            lam=np.full(T, np.nan), ess=np.full(T, np.nan), g_weight=np.full(T, np.nan),
+            occupied=np.empty(T, dtype=int), snapshots={}, final_state=state, initial_state=state.copy(),
+            allocation_draws=T * m, s=None if self.dig is None else self.dig.schedule.s,
             discomfort_reference=np.zeros(n) if config.collect_discomfort_reference else None,
         )
         self.running = config.cll_mode == "running"
@@ -303,7 +318,8 @@ class _Recorder:
             # Ergodic averages of the parameter blocks, updated each iteration;
             # the trace CLL plugs these in together with the current allocations.
             # mu's and sigma2's sums share one array, and so do their averages,
-            # so that one division updates both.
+            # so that one division updates both.  ``est`` shares the chain's z,
+            # which every step redraws in place.
             self.sum_pi = np.zeros(K)
             self.sum_params = np.zeros((2, K, d))
             self.sum_mu, self.sum_sigma2 = self.sum_params
@@ -320,7 +336,6 @@ class _Recorder:
             self.sum_pi += state.pi
             self.sum_mu += state.mu
             self.sum_sigma2 += state.sigma2
-            est.z = state.z
             np.divide(self.sum_pi, self.sum_pi.sum(), out=est.pi)
             np.divide(self.sum_params, t, out=self.avg_params)
             tr.cll[i] = complete_log_likelihood(self.dataset, est, stats)
@@ -329,7 +344,7 @@ class _Recorder:
         tr.occupied[i] = np.count_nonzero(stats[0])
         dig = self.dig
         if dig is not None:
-            tr.lam[i] = dig.adaptive.lam
+            tr.lam[i] = dig.lam
             tr.ess[i] = dig.ess
             tr.g_weight[i] = dig.g
         every = self.config.snapshot_every
@@ -339,14 +354,13 @@ class _Recorder:
                 tr.alpha_snapshots[t] = dig.alpha_raw / dig.alpha_raw.sum()
         if tr.discomfort_reference is not None and t > self.config.T // 2:
             tr.discomfort_reference += discomfort(self.step.P[self.idx_n, state.z], 1.0)
-            tr.discomfort_reference_count += 1
 
     def finish(self, clamps: int) -> ChainTrace:
         tr = self.trace
         if tr.discomfort_reference is not None:
-            tr.discomfort_reference /= max(tr.discomfort_reference_count, 1)
+            tr.discomfort_reference /= tr.discomfort_reference_count
         if self.dig is not None:
-            msg = lambda_bound_warning(self.dig.adaptive)
+            msg = lambda_bound_warning(self.dig.at_bound, self.dig.refreshes, self.dig.Lambda)
             if msg:
                 tr.warnings.append(msg)
         if clamps:

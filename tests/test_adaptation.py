@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from digmix.adaptation import (
-    AdaptiveState,
     WeightSchedule,
     discomfort,
     ess,
@@ -20,6 +19,9 @@ from digmix.adaptation import (
     transition_point,
     weight_pair,
 )
+from digmix.datagen import gen_miller_harrison
+from digmix.model import empirical_bayes_hyperparams
+from digmix.samplers import DIG, ChainError, SamplerConfig, run_chain
 
 E_M1 = 0.36787944117144233
 E_M5 = 0.006737946999085467
@@ -158,22 +160,17 @@ def test_solve_lambda_newton_matches_grid_brentq(seed, start):
 
 
 def test_lambda_schedule_phases():
-    state = AdaptiveState(lam=1.0, Lambda=100.0)
     p = np.array([0.1, 0.9, 0.5, 0.99])
-    lam_greedy = lambda_schedule(state, True, p, m=2)
+    lam_greedy = lambda_schedule(1.0, True, p, m=2, Lambda=100.0)
     assert lam_greedy > 1.0
-    assert state.refresh_count == 1
-    assert lambda_schedule(state, False, p, m=2) == 1.0
-    assert state.refresh_count == 1  # post-s refreshes do not count as adaptation
+    assert lam_greedy == solve_lambda(p, 2, 100.0, 1.0)
+    assert lambda_schedule(lam_greedy, False, p, m=2, Lambda=100.0) == 1.0
 
 
 def test_lambda_bound_warning():
-    state = AdaptiveState(lam=1.0, Lambda=10.0)
-    assert lambda_bound_warning(state) is None
-    state.refresh_count, state.lambda_at_bound_count = 10, 3
-    assert lambda_bound_warning(state) is not None
-    state.lambda_at_bound_count = 2
-    assert lambda_bound_warning(state) is None
+    assert lambda_bound_warning(0, 0, 10.0) is None
+    assert lambda_bound_warning(3, 10, 10.0) is not None
+    assert lambda_bound_warning(2, 10, 10.0) is None
 
 
 # ---------------------------------------------------------------- schedules
@@ -279,10 +276,12 @@ def test_constant_discomfort_fixed_point():
     np.testing.assert_allclose(raw / raw.sum(), d / d.sum(), atol=1e-3)
 
 
-def test_adaptive_state_validation():
-    for lam, Lambda in [(0.5, 100.0), (1.0, math.inf), (1.0, math.nan), (math.nan, 100.0)]:
-        with pytest.raises(ValueError):
-            AdaptiveState(lam=lam, Lambda=Lambda)
+def test_dig_rejects_lambda_bound():
+    ds = gen_miller_harrison(30, 2, np.random.default_rng(0))
+    prior = empirical_bayes_hyperparams(ds, 3)
+    for Lambda in (0.5, math.inf, math.nan):
+        with pytest.raises(ChainError, match=r"iteration 0: .*with Lambda finite"):
+            run_chain(ds, 3, prior, SamplerConfig(method=DIG, T=2, m=3, Lambda=Lambda))
 
 
 @pytest.mark.parametrize("s,a", [(10, 0.0), (10, -1.0), (10, math.inf), (10, math.nan), (0, 1.0)])

@@ -3,7 +3,7 @@
 import digmix
 
 PUBLIC = [
-    "AdaptiveState", "ChainTrace", "ConvergenceReport", "CsvError", "DIG",
+    "ChainTrace", "ConvergenceReport", "CsvError", "DIG",
     "Dataset", "ExperimentSpec", "MixtureState", "NonNumericCellError",
     "PriorSpec", "RSG", "RaggedRowsError", "SSG", "SamplerConfig",
     "WeightSchedule", "adjusted_rand_index", "alpha_limit_check",

@@ -388,6 +388,19 @@ def test_parser_defaults_are_the_spec_defaults(monkeypatch):
     assert spec_from_args(build_parser().parse_args([])) == ExperimentSpec()
 
 
+def test_spec_chain_defaults_are_the_sampler_defaults():
+    spec, config = ExperimentSpec(), samplers.SamplerConfig()
+    assert (spec.iters, spec.lambda_max, spec.tanh_a, spec.seed, spec.snapshot_every, spec.cll_mode) == (
+        config.T, config.Lambda, config.tanh_a, config.seed, config.snapshot_every, config.cll_mode)
+
+
+def test_invalid_chain_setting_is_a_usage_error_before_the_output_directory(tmp_path):
+    out = tmp_path / "run"
+    with pytest.raises(cli.UsageError, match="unknown cll_mode: mean"):
+        run_experiment(tiny_spec(out, cll_mode="mean"))
+    assert not out.exists()
+
+
 def test_env_overrides(monkeypatch):
     monkeypatch.setenv("DIGMIX_N", "777")
     monkeypatch.setenv("DIGMIX_METHODS", "dig")

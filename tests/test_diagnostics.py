@@ -28,7 +28,6 @@ def _trace(cll, wall=None, m=10, n=100):
                          mu=np.zeros((1, 1)), sigma2=np.ones((1, 1)))
     return ChainTrace(
         method="SSG", n=n, m=m,
-        iteration=np.arange(1, T + 1),
         wall_clock_ns=np.asarray(wall if wall is not None else np.arange(1, T + 1) * 1000, dtype=np.int64),
         cll=np.asarray(cll, dtype=float),
         lam=np.full(T, np.nan), ess=np.full(T, np.nan), g_weight=np.full(T, np.nan),
@@ -262,18 +261,21 @@ def test_psm_needs_snapshots():
 # ---------------------------------------------------------------- selection-weight limit
 
 def test_alpha_limit_check_reads_recorded_snapshots_only():
-    ssg, dig = _trace(np.zeros(20)), _trace(np.zeros(20))
+    # A collected reference averages the last T - T // 2 iterations.
+    ssg, dig = _trace(np.zeros(2 * MIN_REFERENCE_SAMPLES)), _trace(np.zeros(20))
     ssg.discomfort_reference = np.array([1.0, 3.0])
-    ssg.discomfort_reference_count = MIN_REFERENCE_SAMPLES
+    assert ssg.discomfort_reference_count == MIN_REFERENCE_SAMPLES
     dig.alpha_snapshots = {10: np.array([0.5, 0.5]), 20: np.array([0.3, 0.7])}
     gaps = alpha_limit_check(dig, ssg)
     assert gaps == pytest.approx({10: 0.25, 20: 0.05})
     assert alpha_limit_check(dig, ssg, checkpoints=[20]) == pytest.approx({20: 0.05})
     with pytest.raises(ValueError, match="iteration 15"):
         alpha_limit_check(dig, ssg, checkpoints=[10, 15])
-    ssg.discomfort_reference_count = MIN_REFERENCE_SAMPLES - 1
+    short = _trace(np.zeros(2 * MIN_REFERENCE_SAMPLES - 2))
+    short.discomfort_reference = ssg.discomfort_reference
+    assert short.discomfort_reference_count == MIN_REFERENCE_SAMPLES - 1
     with pytest.raises(ValueError):
-        alpha_limit_check(dig, ssg)
+        alpha_limit_check(dig, short)
 
 
 # ---------------------------------------------------------------- epochs / mode

@@ -183,6 +183,23 @@ def test_trace_invariants(method):
         assert np.all(np.isnan(tr.lam))
 
 
+def test_dig_counts_greedy_refreshes_only():
+    # The bound warning's counters: refreshes up to s, and those whose lambda
+    # reached Lambda; the refreshes after s pin lambda at 1 and are not counted.
+    ds, prior = small_problem(n=80)
+    T, m = 100, 8
+    rng = np.random.default_rng(3)
+    state = init_state(ds, 3, prior, rng)
+    step = samplers._AdaptiveScan(ds, 3, m, SamplerConfig(method=DIG, T=T, m=m, Lambda=1.5))
+    s = step.schedule.s
+    assert s < T
+    for t in range(1, T + 1):
+        step(t, state, rng)
+    assert step.refreshes == sum(refresh_due(t, T) for t in range(1, s + 1))
+    assert 0 < step.at_bound <= step.refreshes
+    assert step.lam == 1.0
+
+
 def test_dig_lambda_and_g_schedules():
     ds, prior = small_problem(n=80)
     tr = run(DIG, ds, prior, T=400, m=8, seed=5, snapshot_every=0)
@@ -207,10 +224,16 @@ def test_cll_modes_differ_and_are_finite():
     np.testing.assert_array_equal(run_r.final_state.z, run_s.final_state.z)
 
 
-def test_discomfort_reference_collection():
+@pytest.mark.parametrize("T", [1, 7, 40])
+def test_discomfort_reference_collection(monkeypatch, T):
+    # SSG calls discomfort only to add one iteration to the reference, so the
+    # calls count the iterations it averaged: the second half, t > T // 2.
     ds, prior = small_problem()
-    tr = run(SSG, ds, prior, T=40, seed=7, snapshot_every=0, collect_discomfort_reference=True)
-    assert tr.discomfort_reference_count == 20
+    calls = []
+    real = samplers.discomfort
+    monkeypatch.setattr(samplers, "discomfort", lambda *args: calls.append(args) or real(*args))
+    tr = run(SSG, ds, prior, T=T, seed=7, snapshot_every=0, collect_discomfort_reference=True)
+    assert tr.discomfort_reference_count == len(calls) == T - T // 2
     ref = tr.discomfort_reference
     assert ref.shape == (ds.n,)
     assert np.all((ref >= np.exp(-1) - 1e-12) & (ref <= 1.0 + 1e-12))
@@ -291,7 +314,7 @@ def test_dig_cached_discomfort_matches_fresh(monkeypatch, m):
         moved = real_step(step, t, state, rng)
         idx = drawn[-1]
         eager[idx] = P[idx, state.z[idx]]
-        np.testing.assert_allclose(step.discomfort, np.exp(-step.adaptive.lam * eager), rtol=1e-12,
+        np.testing.assert_allclose(step.discomfort, np.exp(-step.lam * eager), rtol=1e-12,
                                    err_msg=f"iteration {t}")
         checked[0] += 1
         return moved
