@@ -283,8 +283,7 @@ def summarize_method(
     reference: tuple[float, float] | None,
 ):
     """Flat key/value summary of one method's replica set."""
-    tail = min(spec.window, traces[0].T)
-    tail_means = np.array([tr.cll[-tail:].mean() for tr in traces])
+    tail_means = np.array([tr.cll[-spec.window:].mean() for tr in traces])
     occ_final = np.array([int(tr.occupied[-1]) for tr in traces])
     items = [
         ("method", method),
@@ -390,7 +389,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
 
     reference = None
     if SSG in by_method and len(by_method[SSG]) >= 2:
-        reference = ssg_reference(by_method[SSG], tail=min(spec.window, spec.iters))
+        reference = ssg_reference(by_method[SSG], tail=spec.window)
 
     for method in spec.methods:
         for rep, trace in enumerate(by_method[method]):
@@ -469,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     """The spec of parsed flags; each flag's destination names its spec field."""
     given = vars(args).copy()
-    if given.get("label_col", "").lstrip("-").isdigit():
+    if given.get("label_col", "").removeprefix("-").isdecimal():
         given["label_col"] = int(given["label_col"])
     if "methods" in given:
         methods = []
@@ -478,7 +477,7 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
             if not name:
                 continue
             if name not in _METHOD_NAMES:
-                raise ValueError(f"unknown method: {name}")
+                raise UsageError(f"unknown method: {name}")
             methods.append(_METHOD_NAMES[name])
         given["methods"] = methods
     if "standardize" in given:
@@ -493,19 +492,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        spec = spec_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return run_experiment(spec)
+        return run_experiment(spec_from_args(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, CsvError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, FloatingPointError, RuntimeError) as exc:
+    except ChainError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -88,9 +87,6 @@ def load_csv(path, label_column=None) -> Dataset:
     ``label_column`` selects the ground-truth column by header name or
     0-based index; it is excluded from the feature matrix.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
     # utf-8-sig drops a leading byte-order mark, as spreadsheets write one.
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:

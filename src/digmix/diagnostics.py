@@ -27,7 +27,7 @@ class ConvergenceReport:
     t2c_seconds: float | None
 
 
-def ssg_reference(traces: list[ChainTrace], tail: int = 1000) -> tuple[float, float]:
+def ssg_reference(traces: list[ChainTrace], tail: int) -> tuple[float, float]:
     """Reference CLL level from systematic-scan chains.
 
     Per-chain mean over the final ``tail`` iterations, averaged across chains;
@@ -45,11 +45,7 @@ def ssg_reference(traces: list[ChainTrace], tail: int = 1000) -> tuple[float, fl
     return float(means.mean()), float(means.var(ddof=1))
 
 
-def time_to_converge(
-    trace: ChainTrace,
-    reference: tuple[float, float],
-    window: int = 1000,
-) -> ConvergenceReport:
+def time_to_converge(trace: ChainTrace, reference: tuple[float, float], window: int) -> ConvergenceReport:
     """First sliding-window z-test pass against the reference CLL level.
 
     Window means stride by one iteration; the z denominator combines the

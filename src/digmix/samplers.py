@@ -54,7 +54,7 @@ class ChainError(RuntimeError):
 
 # The failures of a numerical step, re-raised as a ChainError.  Any other
 # exception (a TypeError, a MemoryError) propagates as it is.
-_NUMERICAL_ERRORS = (ArithmeticError, ValueError, np.linalg.LinAlgError)
+_NUMERICAL_ERRORS = (ArithmeticError, ValueError)
 
 
 @dataclass
@@ -373,11 +373,12 @@ def run_chain(dataset: Dataset, K: int, prior: PriorSpec, config: SamplerConfig)
     """Run one chain of the configured method, seeded by ``config.seed``, and return its trace."""
     rng = np.random.default_rng(config.seed)
     n = dataset.n
+    # An invalid setting raises ValueError here, before any draw.
     m = _resolve_m(config, n)
+    step = _STEPS[config.method](dataset, K, m, config)
     t = 0
     try:
         state = init_state(dataset, K, prior, rng)
-        step = _STEPS[config.method](dataset, K, m, config)
         record = _Recorder(dataset, K, m, config, step, state)
 
         # Per-component (counts, sums, sqsums) of the current allocations, shared

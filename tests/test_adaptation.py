@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from digmix import samplers
 from digmix.adaptation import (
     WeightSchedule,
     discomfort,
@@ -21,7 +22,7 @@ from digmix.adaptation import (
 )
 from digmix.datagen import gen_miller_harrison
 from digmix.model import empirical_bayes_hyperparams
-from digmix.samplers import DIG, ChainError, SamplerConfig, run_chain
+from digmix.samplers import DIG, RSG, SamplerConfig, run_chain
 
 E_M1 = 0.36787944117144233
 E_M5 = 0.006737946999085467
@@ -276,12 +277,28 @@ def test_constant_discomfort_fixed_point():
     np.testing.assert_allclose(raw / raw.sum(), d / d.sum(), atol=1e-3)
 
 
-def test_dig_rejects_lambda_bound():
-    ds = gen_miller_harrison(30, 2, np.random.default_rng(0))
+N_SETTINGS = 30
+INVALID_SETTINGS = (
+    [(DIG, "Lambda", v, "with Lambda finite") for v in (0.5, math.inf, math.nan)]
+    + [(DIG, "tanh_a", v, "need a finite a > 0") for v in (0.0, math.inf, math.nan)]
+    + [(meth, "m", v, "needs a subset size m" if v is None else "need 1 <= m <= n")
+       for meth in (RSG, DIG) for v in (None, 0, N_SETTINGS + 1)]
+)
+
+
+@pytest.mark.parametrize("method,name,value,message", INVALID_SETTINGS,
+                         ids=[f"{meth}-{name}-{v}" for meth, name, v, _ in INVALID_SETTINGS])
+def test_invalid_setting_is_rejected_before_any_draw(monkeypatch, method, name, value, message):
+    # A usage error, not a ChainError: it is raised before init_state draws.
+    def no_draws(*args, **kwargs):
+        raise AssertionError("init_state ran")
+
+    ds = gen_miller_harrison(N_SETTINGS, 2, np.random.default_rng(0))
     prior = empirical_bayes_hyperparams(ds, 3)
-    for Lambda in (0.5, math.inf, math.nan):
-        with pytest.raises(ChainError, match=r"iteration 0: .*with Lambda finite"):
-            run_chain(ds, 3, prior, SamplerConfig(method=DIG, T=2, m=3, Lambda=Lambda))
+    monkeypatch.setattr(samplers, "init_state", no_draws)
+    config = SamplerConfig(method=method, T=2, **{"m": 3, name: value})
+    with pytest.raises(ValueError, match=message):
+        run_chain(ds, 3, prior, config)
 
 
 @pytest.mark.parametrize("s,a", [(10, 0.0), (10, -1.0), (10, math.inf), (10, math.nan), (0, 1.0)])

@@ -435,6 +435,9 @@ def test_label_col_numeric_coercion():
     assert spec_from_args(args).label_col == 2
     args = build_parser().parse_args(["--label-col", "class"])
     assert spec_from_args(args).label_col == "class"
+    # Only a decimal integer becomes an index; the rest are header names.
+    for name, col in [("-1", -1), ("--5", "--5"), ("²", "²")]:
+        assert spec_from_args(build_parser().parse_args([f"--label-col={name}"])).label_col == col
 
 
 # ---------------------------------------------------------------- exit codes
@@ -483,12 +486,13 @@ def test_main_rejects_window_above_iters(tmp_path, capsys):
     (["--snapshot-every", "-5"], "--snapshot-every >= 0"),
     (["--threads", "-1"], "--threads >= 0"),
     (["--methods", "ssg,dig,ssg"], "method given more than once: SSG"),
+    (["--methods", "ssg,xyz"], "unknown method: xyz"),
     (["--lambda-max", "nan"], "finite --lambda-max > 1"),
     (["--lambda-max", "inf"], "finite --lambda-max > 1"),
     (["--tanh-a", "nan"], "finite --tanh-a > 0"),
     (["--tanh-a", "inf"], "finite --tanh-a > 0"),
 ], ids=["n0", "miller-n2", "motivating5-n4", "misspec4-n3", "d0", "snapshot-every", "threads",
-        "repeated-method", "lambda-max-nan", "lambda-max-inf", "tanh-a-nan", "tanh-a-inf"])
+        "repeated-method", "unknown-method", "lambda-max-nan", "lambda-max-inf", "tanh-a-nan", "tanh-a-inf"])
 def test_main_rejects_bad_sizes(tmp_path, capsys, flags, message):
     out = tmp_path / "run"
     base = ["--n", "60", "--m", "1", "--iters", "60", "--window", "20", "--replicas", "1",
@@ -596,6 +600,19 @@ def test_programming_error_in_a_chain_propagates(tmp_path, monkeypatch, threads)
 
     monkeypatch.setattr(samplers, "sample_component_params", broken)
     with pytest.raises(TypeError, match="unexpected argument"):
+        main(["--n", "80", "--methods", "ssg,dig", "--replicas", "2", "--iters", "20",
+              "--window", "10", "--m", "4", "--threads", str(threads), "--out-dir", str(tmp_path / "run")])
+
+
+@pytest.mark.parametrize("threads", POOL_THREADS)
+def test_error_outside_the_chains_propagates(tmp_path, monkeypatch, threads):
+    # Exit 4 is a chain's numerical failure alone: a ValueError after the
+    # chains ran is a fault of the program, not of a chain.
+    def broken(*args, **kwargs):
+        raise ValueError("summary fault")
+
+    monkeypatch.setattr(cli, "summarize_method", broken)
+    with pytest.raises(ValueError, match="summary fault"):
         main(["--n", "80", "--methods", "ssg,dig", "--replicas", "2", "--iters", "20",
               "--window", "10", "--m", "4", "--threads", str(threads), "--out-dir", str(tmp_path / "run")])
 
