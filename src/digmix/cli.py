@@ -55,6 +55,7 @@ from .diagnostics import (
     time_to_converge,
 )
 from .model import Dataset, empirical_bayes_hyperparams
+from .parallel import pin_blas_thread
 from .samplers import DIG, RSG, SSG, ChainError, ChainTrace, SamplerConfig, run_chain
 
 EXIT_OK = 0
@@ -372,7 +373,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
 
     workers = spec.threads if spec.threads else (os.cpu_count() or 1)
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=pin_blas_thread) as pool:
             traces = list(pool.map(_chain_job, jobs))
     else:
         traces = [_chain_job(j) for j in jobs]

@@ -20,6 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .parallel import pass_threads, run_groups
+
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 # Variance draws are clamped below this to keep log densities finite.
@@ -29,11 +31,12 @@ VARIANCE_FLOOR = 1e-12
 # about 1e-304, still a normal double.
 LOG_FLOOR = -700.0
 
-# Rows per block of a full (n, K) pass.  An (8192, 20) float64 block is
+# Most rows per block of a full (n, K) pass.  An (8192, 20) float64 block is
 # 1.3 MB, so it stays in a 2 MiB per-core L2 cache between the steps of the
-# pass.  On a 2-core Xeon with that cache, SSG's pass at n=1e5, K=20 took
-# 20.5, 18.5, 17.7, 17.7 and 19.3 ms at 1024, 2048, 4096, 8192 and 16384 rows
-# per block, and 22.7 ms unblocked.
+# pass, on whichever core's thread runs it (parallel.pass_threads).  On a
+# 2-core Xeon with that cache, SSG's serial pass at n=1e5, K=20 took 20.5,
+# 18.5, 17.7, 17.7 and 19.3 ms at 1024, 2048, 4096, 8192 and 16384 rows per
+# block, and 22.7 ms unblocked.
 PASS_ROWS = 8192
 
 
@@ -151,17 +154,23 @@ class ResponsibilityMatrix:
     p: np.ndarray
 
 
-def pass_blocks(dataset: Dataset, P: np.ndarray) -> list[tuple]:
-    """The row blocks of a full pass over ``dataset`` into the (n, K) buffer ``P``.
+def pass_blocks(dataset: Dataset, P: np.ndarray) -> list[list[tuple]]:
+    """The row blocks of a full pass over ``dataset`` into the (n, K) buffer ``P``, one group per thread.
 
-    Blocks hold ``PASS_ROWS`` rows each, the last one the rest.  Each is
-    ``(rows, x, xsq, P, work)``: its row slice, its rows of x, x**2 and ``P``,
-    and its rows of one scratch that all blocks share.
+    Blocks hold ``PASS_ROWS`` rows each, the last one the rest.  The
+    :func:`parallel.pass_threads` threads each take a group: a run of
+    consecutive blocks, the group sizes differing by one block at most.  Each
+    block is ``(rows, x, xsq, P, work)``: its row slice, its rows of x, x**2
+    and ``P``, and its rows of one scratch that the group's blocks share.
     """
-    n = dataset.n
-    work = np.empty((min(n, PASS_ROWS), P.shape[1]))
-    return [(rows, dataset.x[rows], dataset.xsq[rows], P[rows], work[:rows.stop - rows.start])
-            for rows in (slice(lo, min(lo + PASS_ROWS, n)) for lo in range(0, n, PASS_ROWS))]
+    n, K = P.shape
+    blocks = [slice(lo, min(lo + PASS_ROWS, n)) for lo in range(0, n, PASS_ROWS)]
+    threads = pass_threads(len(blocks))
+    cuts = [g * len(blocks) // threads for g in range(threads + 1)]
+    work = np.empty((threads, min(n, PASS_ROWS), K))
+    return [[(rows, dataset.x[rows], dataset.xsq[rows], P[rows], work[g, :rows.stop - rows.start])
+             for rows in blocks[cuts[g]:cuts[g + 1]]]
+            for g in range(threads)]
 
 
 def log_density_matrix(x: np.ndarray, xsq: np.ndarray, state: MixtureState, out=None,
@@ -204,12 +213,17 @@ def _normalise_rows(logp: np.ndarray) -> np.ndarray:
 def refresh_responsibilities(dataset: Dataset, state: MixtureState, out=None) -> ResponsibilityMatrix:
     """Full (n, K) recomputation of the responsibility matrix, into ``out`` when given.
 
-    The pass runs in the row blocks of :func:`pass_blocks`; each row's
-    probabilities are those of one whole-matrix pass, bit for bit.
+    The pass runs in the row blocks of :func:`pass_blocks`, each group of
+    blocks on its own thread; each row's probabilities are those of one
+    whole-matrix pass, bit for bit, whatever the thread count.
     """
     p = np.empty((dataset.n, state.K)) if out is None else out
-    for _, x, xsq, P, work in pass_blocks(dataset, p):
-        _normalise_rows(log_density_matrix(x, xsq, state, out=P, work=work))
+
+    def normalise(blocks):
+        for _, x, xsq, P, work in blocks:
+            _normalise_rows(log_density_matrix(x, xsq, state, out=P, work=work))
+
+    run_groups(normalise, pass_blocks(dataset, p))
     return ResponsibilityMatrix(p=p)
 
 
@@ -231,8 +245,8 @@ def complete_log_likelihood(dataset: Dataset, state: MixtureState, stats=None) -
     return cll
 
 
-def sample_allocations_rows(rows: np.ndarray, rng) -> np.ndarray:
-    """Vectorised categorical draw, one per probability row.
+def sample_allocations_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Vectorised categorical draw, one per probability row, from the uniforms ``u``.
 
     Row i draws the number of its running sums below u_i, capped at K - 1.
     The running sum is kept as one n-vector over the first K - 1 columns,
@@ -241,7 +255,6 @@ def sample_allocations_rows(rows: np.ndarray, rng) -> np.ndarray:
     bit for bit without its two (n, K) temporaries.
     """
     n, K = rows.shape
-    u = rng.random(n)
     z = np.zeros(n, dtype=np.intp)
     c = rows[:, 0].copy()
     below = np.empty(n, dtype=bool)

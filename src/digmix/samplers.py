@@ -41,6 +41,7 @@ from .model import (
     sample_mixture_weights,
     update_sufficient_stats,
 )
+from .parallel import run_groups
 
 SSG = "SSG"
 RSG = "RSG"
@@ -167,23 +168,30 @@ def _resolve_m(config: SamplerConfig, n: int) -> int:
 class _SystematicScan:
     """SSG's allocation step: every row redrawn from one full (n, K) pass.
 
-    The pass runs in the row blocks of :func:`pass_blocks`, each block's
-    density, normalisation and draws before the next block's.  Each block
-    continues the uniform stream where the last one stopped, so the draws
-    are those of one whole-matrix pass, bit for bit.  The pass leaves the
-    probabilities in the (n, K) buffer ``P`` and writes each block's draws
-    into ``state.z``; it returns no moved rows, so the statistics are
-    recomputed.
+    The pass runs in the row blocks of :func:`pass_blocks`, each group of
+    blocks on its own thread, each block's density, normalisation and draws
+    before the next block's.  One ``rng.random(n)`` gives row i its uniform
+    u_i, the stream that per-block draws in row order would take, so the
+    draws are those of one whole-matrix pass, bit for bit, whatever the
+    thread count.  The pass leaves the probabilities in the (n, K) buffer
+    ``P`` and writes each block's draws into ``state.z``; it returns no moved
+    rows, so the statistics are recomputed.
     """
 
     def __init__(self, dataset: Dataset, K: int, m: int, config: SamplerConfig):
         self.P = np.empty((dataset.n, K))
-        self.blocks = pass_blocks(dataset, self.P)
+        self.u = np.empty(dataset.n)
+        self.groups = pass_blocks(dataset, self.P)
 
     def __call__(self, t: int, state: MixtureState, rng):
-        for rows, x, xsq, P, work in self.blocks:
-            _normalise_rows(log_density_matrix(x, xsq, state, out=P, work=work))
-            state.z[rows] = sample_allocations_rows(P, rng)
+        u = rng.random(out=self.u)
+
+        def sweep(blocks):
+            for rows, x, xsq, P, work in blocks:
+                _normalise_rows(log_density_matrix(x, xsq, state, out=P, work=work))
+                state.z[rows] = sample_allocations_rows(P, u[rows])
+
+        run_groups(sweep, self.groups)
 
 
 class _RandomScan:
@@ -218,7 +226,7 @@ class _RandomScan:
         self.xsq.take(idx, axis=0, out=self.x_sel_sq)
         rows = _normalise_rows(log_density_matrix(self.x_sel, self.x_sel_sq, state, out=self.sel_logp,
                                                   work=self.sel_work))
-        new_z = sample_allocations_rows(rows, rng)
+        new_z = sample_allocations_rows(rows, rng.random(self.m))
         z_old = state.z[changed]
         state.z[idx] = new_z
         self.redrawn(idx, rows, new_z)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from digmix import cli, samplers
+from digmix import cli, parallel, samplers
 from digmix.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
@@ -615,6 +615,25 @@ def test_error_outside_the_chains_propagates(tmp_path, monkeypatch, threads):
     with pytest.raises(ValueError, match="summary fault"):
         main(["--n", "80", "--methods", "ssg,dig", "--replicas", "2", "--iters", "20",
               "--window", "10", "--m", "4", "--threads", str(threads), "--out-dir", str(tmp_path / "run")])
+
+
+@needs_fork
+def test_pool_workers_run_one_blas_thread(tmp_path, monkeypatch, capsys):
+    # Each chain reports its worker's OpenBLAS thread count as a warning.
+    if parallel.openblas() is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    chain = cli.run_chain
+
+    def reporting(*args, **kwargs):
+        trace = chain(*args, **kwargs)
+        trace.warnings.append(f"OpenBLAS threads {parallel.blas_threads()}")
+        return trace
+
+    monkeypatch.setattr(cli, "run_chain", reporting)
+    assert main(["--n", "80", "--methods", "ssg,dig", "--replicas", "2", "--iters", "20", "--window", "10",
+                 "--m", "4", "--threads", "2", "--out-dir", str(tmp_path / "run")]) == EXIT_OK
+    reports = [line for line in capsys.readouterr().err.splitlines() if "OpenBLAS threads" in line]
+    assert len(reports) == 4 and all(line.endswith("OpenBLAS threads 1") for line in reports)
 
 
 @needs_fork

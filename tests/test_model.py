@@ -135,7 +135,7 @@ def test_floored_components_never_drawn():
     rng = np.random.default_rng(1)
     for _ in range(10):
         rows = rng.integers(0, p.shape[0], 100_000)
-        draws = sample_allocations_rows(p[rows], rng)
+        draws = sample_allocations_rows(p[rows], rng.random(len(rows)))
         assert not np.any(floored[rows, draws])
 
 
@@ -174,9 +174,9 @@ def test_sample_allocation_distribution():
     state = make_state(z=[0], pi=[0.5, 0.5], mu=[[0.0], [2.0]], sigma2=[[1.0], [1.0]])
     rng = np.random.default_rng(7)
     rows = refresh_responsibilities(Dataset(x=np.full((20000, 1), 2.0)), state).p
-    assert sample_allocations_rows(rows, rng).mean() == pytest.approx(LOGISTIC_2, abs=0.01)
+    assert sample_allocations_rows(rows, rng.random(len(rows))).mean() == pytest.approx(LOGISTIC_2, abs=0.01)
     probs = np.array([0.2, 0.5, 0.3])
-    draws = sample_allocations_rows(np.tile(probs, (30000, 1)), rng)
+    draws = sample_allocations_rows(np.tile(probs, (30000, 1)), rng.random(30000))
     freq = np.bincount(draws, minlength=3) / draws.size
     assert np.all(np.abs(freq - probs) < 4 * np.sqrt(probs * (1 - probs) / draws.size))
 
@@ -196,16 +196,10 @@ def test_sample_allocations_rows_matches_cumsum_oracle(K):
     rows[1::7] *= 1 - 1e-12
     u = np.random.default_rng(99).random(len(rows))
     assert np.any(u > rows.sum(axis=1))
-    draws = sample_allocations_rows(rows, np.random.default_rng(99))
+    draws = sample_allocations_rows(rows, u)
     expect = cumsum_draws(rows, u)
     assert draws.dtype == expect.dtype
     np.testing.assert_array_equal(draws, expect)
-    # One u per row is drawn, K = 1 included, so the stream goes on unchanged.
-    after = np.random.default_rng(99)
-    after.random(len(rows))
-    rng_used = np.random.default_rng(99)
-    sample_allocations_rows(rows, rng_used)
-    assert rng_used.random() == after.random()
 
 
 # ---------------------------------------------------------------- conjugate updates

@@ -248,7 +248,7 @@ def test_blocked_sweep_matches_whole_matrix_draw(K):
     state = init_state(ds, K, prior, np.random.default_rng(1))
     P = _normalise_rows(log_density_matrix(ds.x, ds.xsq, state))
     ref_rng = np.random.default_rng(2)
-    ref_z = sample_allocations_rows(P, ref_rng)
+    ref_z = sample_allocations_rows(P, ref_rng.random(ds.n))
     step = samplers._SystematicScan(ds, K, ds.n, SamplerConfig(method=SSG))
     rng = np.random.default_rng(2)
     step(1, state, rng)

@@ -22,14 +22,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from digmix import samplers
+from digmix import parallel, samplers
 from digmix.datagen import gen_miller_harrison, gen_misspec4, gen_motivating5, standardize
 from digmix.model import (
     LOG_2PI,
+    PASS_ROWS,
     Dataset,
     component_sufficient_stats,
     complete_log_likelihood,
     empirical_bayes_hyperparams,
+    refresh_responsibilities,
     update_sufficient_stats,
 )
 from digmix.samplers import DIG, RSG, SSG, SamplerConfig, run_chain
@@ -284,8 +286,8 @@ def test_golden_trace_digest(method, cll_mode, golden_host):
 # SHA-256 of a whole ChainTrace, per method and K, for the configuration in
 # test_golden_multi_block_trace_digest: n = 2 * 8192 + 27 rows, so that a full
 # pass in row blocks of 8192 spans three blocks, the last one partial.  Taken
-# before full passes ran in blocks, so equality shows that blocking changed
-# no draw and no bookkeeping.
+# before full passes ran in blocks or on threads, so equality shows that
+# neither changed a draw or the bookkeeping.
 GOLDEN_MULTI_BLOCK = {
     (SSG, 3): "217fd877d172f7965b0e7e747dae9066277383d234d501acc49931f52a8912f8",
     (SSG, 20): "82879b7236c7d5a9975a6636a8bf68d8d2a4d5381376f21be98a74f8dad03cda",
@@ -296,11 +298,45 @@ GOLDEN_MULTI_BLOCK = {
 }
 
 
+def multi_block_digest(method, K):
+    ds = miller(n=2 * 8192 + 27, d=10, seed=6)
+    prior = empirical_bayes_hyperparams(ds, K)
+    return trace_digest(run_chain(ds, K, prior, SamplerConfig(method=method, T=12, m=300, seed=8,
+                                                              snapshot_every=5,
+                                                              collect_discomfort_reference=method == SSG)))
+
+
 @pytest.mark.parametrize("K", [3, 20])
 @pytest.mark.parametrize("method", [SSG, RSG, DIG])
 def test_golden_multi_block_trace_digest(method, K, golden_host):
-    ds = miller(n=2 * 8192 + 27, d=10, seed=6)
-    prior = empirical_bayes_hyperparams(ds, K)
-    tr = run_chain(ds, K, prior, SamplerConfig(method=method, T=12, m=300, seed=8, snapshot_every=5,
-                                               collect_discomfort_reference=method == SSG))
-    assert trace_digest(tr) == GOLDEN_MULTI_BLOCK[method, K], golden_host
+    assert multi_block_digest(method, K) == GOLDEN_MULTI_BLOCK[method, K], golden_host
+
+
+# The three blocks forced onto two threads (1 + 2 blocks) and onto three
+# (1 + 1 + 1); a host whose BLAS runs more than one thread runs them serially
+# in the test above.  RSG runs no full pass.
+@pytest.mark.parametrize("forced_pass_threads", [2, 3], indirect=True)
+@pytest.mark.parametrize("K", [3, 20])
+@pytest.mark.parametrize("method", [SSG, DIG])
+def test_golden_multi_block_trace_digest_on_threads(method, K, forced_pass_threads, golden_host):
+    assert multi_block_digest(method, K) == GOLDEN_MULTI_BLOCK[method, K], golden_host
+
+
+@pytest.mark.parametrize("method", [SSG, DIG])
+def test_threads_give_the_serial_chain(method, monkeypatch):
+    # Four blocks: 2 + 2 on two threads, 1 + 1 + 2 on three.  Each run's
+    # final state also enters a refresh on its own thread count.
+    ds = miller(n=3 * PASS_ROWS + 100, d=3, seed=11)
+    prior = empirical_bayes_hyperparams(ds, 20)
+    config = SamplerConfig(method=method, T=6, m=500, seed=3, snapshot_every=2,
+                           collect_discomfort_reference=method == SSG)
+    monkeypatch.setattr(parallel, "blas_threads", lambda: 1)
+    digests, refreshed = [], []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda k=threads: k)
+        tr = run_chain(ds, 20, prior, config)
+        digests.append(trace_digest(tr))
+        refreshed.append(refresh_responsibilities(ds, tr.final_state).p)
+    assert digests[1:] == digests[:1] * 2
+    for p in refreshed[1:]:
+        np.testing.assert_array_equal(p, refreshed[0])
