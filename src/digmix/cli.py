@@ -55,7 +55,7 @@ from .diagnostics import (
     time_to_converge,
 )
 from .model import Dataset, empirical_bayes_hyperparams
-from .parallel import pin_blas_thread
+from .parallel import pin_blas_thread, usable_cpus
 from .samplers import DIG, RSG, SSG, ChainError, ChainTrace, SamplerConfig, run_chain
 
 EXIT_OK = 0
@@ -149,8 +149,8 @@ class ExperimentSpec:
         if self.threads is not None and self.threads < 0:
             raise ValueError("need --threads >= 0")
         # Written so that a NaN fails each comparison.
-        if not 1 < self.lambda_max < math.inf:
-            raise ValueError("need a finite --lambda-max > 1")
+        if not 1 <= self.lambda_max < math.inf:
+            raise ValueError("need a finite --lambda-max >= 1")
         if not 0 < self.tanh_a < math.inf:
             raise ValueError("need a finite --tanh-a > 0")
 
@@ -371,7 +371,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
 
-    workers = spec.threads if spec.threads else (os.cpu_count() or 1)
+    workers = spec.threads if spec.threads else usable_cpus()
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=pin_blas_thread) as pool:
             traces = list(pool.map(_chain_job, jobs))

@@ -160,27 +160,24 @@ def pass_blocks(dataset: Dataset, P: np.ndarray) -> list[list[tuple]]:
     Blocks hold ``PASS_ROWS`` rows each, the last one the rest.  The
     :func:`parallel.pass_threads` threads each take a group: a run of
     consecutive blocks, the group sizes differing by one block at most.  Each
-    block is ``(rows, x, xsq, P, work)``: its row slice, its rows of x, x**2
-    and ``P``, and its rows of one scratch that the group's blocks share.
+    block is ``(rows, x, xsq, P)``: its row slice and its rows of x, x**2 and
+    ``P``.  The groups share nothing but ``P``, in disjoint rows.
     """
-    n, K = P.shape
+    n = P.shape[0]
     blocks = [slice(lo, min(lo + PASS_ROWS, n)) for lo in range(0, n, PASS_ROWS)]
     threads = pass_threads(len(blocks))
     cuts = [g * len(blocks) // threads for g in range(threads + 1)]
-    work = np.empty((threads, min(n, PASS_ROWS), K))
-    return [[(rows, dataset.x[rows], dataset.xsq[rows], P[rows], work[g, :rows.stop - rows.start])
-             for rows in blocks[cuts[g]:cuts[g + 1]]]
+    return [[(rows, dataset.x[rows], dataset.xsq[rows], P[rows]) for rows in blocks[cuts[g]:cuts[g + 1]]]
             for g in range(threads)]
 
 
-def log_density_matrix(x: np.ndarray, xsq: np.ndarray, state: MixtureState, out=None,
-                       work=None) -> np.ndarray:
+def log_density_matrix(x: np.ndarray, xsq: np.ndarray, state: MixtureState, out=None) -> np.ndarray:
     """(n, K) matrix of log pi_k + log N(x_i | mu_k, sigma2_k), where ``xsq`` holds the squares of ``x``.
 
     The quadratic form is expanded so the whole matrix comes from two
-    matrix products instead of a per-component pass.  Repeated callers pass
-    the (n, K) result buffer ``out`` and an (n, K) scratch ``work`` for the
-    quadratic term; whatever is left out is allocated.
+    matrix products instead of a per-component pass.  The result goes into
+    the (n, K) buffer ``out`` when given; the quadratic term is a fresh
+    (n, K) temporary, which in a full pass is one block's.
     """
     inv = 1.0 / state.sigma2                               # (K, d)
     const = (
@@ -191,7 +188,7 @@ def log_density_matrix(x: np.ndarray, xsq: np.ndarray, state: MixtureState, out=
     out = np.matmul(x, (state.mu * inv).T, out=out)        # cross terms
     # Scaling by -0.5 is exact, so this adds the same values as
     # subtracting half of the unscaled product.
-    out += np.matmul(xsq, -0.5 * inv.T, out=work)
+    out += xsq @ (-0.5 * inv.T)
     out += const
     return out
 
@@ -220,8 +217,8 @@ def refresh_responsibilities(dataset: Dataset, state: MixtureState, out=None) ->
     p = np.empty((dataset.n, state.K)) if out is None else out
 
     def normalise(blocks):
-        for _, x, xsq, P, work in blocks:
-            _normalise_rows(log_density_matrix(x, xsq, state, out=P, work=work))
+        for _, x, xsq, P in blocks:
+            _normalise_rows(log_density_matrix(x, xsq, state, out=P))
 
     run_groups(normalise, pass_blocks(dataset, p))
     return ResponsibilityMatrix(p=p)

@@ -5,7 +5,7 @@ all of these hold:
 
 - it spans two blocks or more;
 - this process is no pool worker: the command's pool already runs one chain
-  per core;
+  per usable CPU;
 - numpy's bundled OpenBLAS runs one thread.  With OpenBLAS on its default
   thread count its own threads compete with the pass's: at n=1e5, d=10, K=20
   on a 2-core Xeon, SSG iterations on two pass threads were slower than

@@ -180,15 +180,14 @@ class _SystematicScan:
 
     def __init__(self, dataset: Dataset, K: int, m: int, config: SamplerConfig):
         self.P = np.empty((dataset.n, K))
-        self.u = np.empty(dataset.n)
         self.groups = pass_blocks(dataset, self.P)
 
     def __call__(self, t: int, state: MixtureState, rng):
-        u = rng.random(out=self.u)
+        u = rng.random(len(state.z))
 
         def sweep(blocks):
-            for rows, x, xsq, P, work in blocks:
-                _normalise_rows(log_density_matrix(x, xsq, state, out=P, work=work))
+            for rows, x, xsq, P in blocks:
+                _normalise_rows(log_density_matrix(x, xsq, state, out=P))
                 state.z[rows] = sample_allocations_rows(P, u[rows])
 
         run_groups(sweep, self.groups)
@@ -200,15 +199,11 @@ class _RandomScan:
     Returns the moved rows as ``(x rows, old z, new z, x rows squared)``,
     each row once, for the statistics update.  The m-row pass gathers its
     rows of ``x`` and of ``dataset.xsq``; when the rows are distinct (DIG),
-    those buffers are returned, valid until the next step.
+    those gathers are returned.
     """
 
     def __init__(self, dataset: Dataset, K: int, m: int, config: SamplerConfig):
         self.x, self.xsq, self.n, self.m = dataset.x, dataset.xsq, dataset.n, m
-        self.x_sel = np.empty((m, dataset.d))
-        self.x_sel_sq = np.empty((m, dataset.d))
-        self.sel_logp = np.empty((m, K))
-        self.sel_work = np.empty((m, K))
         self.first = np.ones(m, dtype=bool)    # [0] stays True
 
     def select(self, t: int, state: MixtureState, rng):
@@ -222,16 +217,14 @@ class _RandomScan:
 
     def __call__(self, t: int, state: MixtureState, rng):
         idx, changed = self.select(t, state, rng)
-        self.x.take(idx, axis=0, out=self.x_sel)
-        self.xsq.take(idx, axis=0, out=self.x_sel_sq)
-        rows = _normalise_rows(log_density_matrix(self.x_sel, self.x_sel_sq, state, out=self.sel_logp,
-                                                  work=self.sel_work))
+        x_sel, x_sel_sq = self.x.take(idx, axis=0), self.xsq.take(idx, axis=0)
+        rows = _normalise_rows(log_density_matrix(x_sel, x_sel_sq, state))
         new_z = sample_allocations_rows(rows, rng.random(self.m))
         z_old = state.z[changed]
         state.z[idx] = new_z
         self.redrawn(idx, rows, new_z)
         if changed is idx:
-            return self.x_sel, z_old, new_z, self.x_sel_sq
+            return x_sel, z_old, new_z, x_sel_sq
         return self.x.take(changed, axis=0), z_old, state.z[changed], self.xsq.take(changed, axis=0)
 
     def redrawn(self, idx: np.ndarray, rows: np.ndarray, new_z: np.ndarray):
@@ -270,7 +263,6 @@ class _AdaptiveScan(_RandomScan):
         self.full = np.empty((n, K))
         self.idx_n = np.arange(n)
         self.idx_m = np.arange(m)
-        self.d_buf = np.empty(n)
 
     def select(self, t: int, state: MixtureState, rng):
         if refresh_due(t, self.T):      # always at t = 1
@@ -287,8 +279,7 @@ class _AdaptiveScan(_RandomScan):
             self.discomfort = discomfort(self.p_assigned, self.lam)
         f, self.g = weight_pair(t, self.schedule)
         self.alpha_raw *= f
-        np.multiply(self.discomfort, self.g, out=self.d_buf)
-        self.alpha_raw += self.d_buf
+        self.alpha_raw += self.discomfort * self.g
         # The race keys are scale-invariant in the weights, so the raw vector
         # drives selection directly; it is normalised only for snapshots.
         idx = sample_without_replacement(self.alpha_raw, self.m, rng)

@@ -487,12 +487,14 @@ def test_main_rejects_window_above_iters(tmp_path, capsys):
     (["--threads", "-1"], "--threads >= 0"),
     (["--methods", "ssg,dig,ssg"], "method given more than once: SSG"),
     (["--methods", "ssg,xyz"], "unknown method: xyz"),
-    (["--lambda-max", "nan"], "finite --lambda-max > 1"),
-    (["--lambda-max", "inf"], "finite --lambda-max > 1"),
+    (["--lambda-max", "nan"], "finite --lambda-max >= 1"),
+    (["--lambda-max", "inf"], "finite --lambda-max >= 1"),
+    (["--lambda-max", "0.5"], "finite --lambda-max >= 1"),
     (["--tanh-a", "nan"], "finite --tanh-a > 0"),
     (["--tanh-a", "inf"], "finite --tanh-a > 0"),
 ], ids=["n0", "miller-n2", "motivating5-n4", "misspec4-n3", "d0", "snapshot-every", "threads",
-        "repeated-method", "unknown-method", "lambda-max-nan", "lambda-max-inf", "tanh-a-nan", "tanh-a-inf"])
+        "repeated-method", "unknown-method", "lambda-max-nan", "lambda-max-inf", "lambda-max-below-1",
+        "tanh-a-nan", "tanh-a-inf"])
 def test_main_rejects_bad_sizes(tmp_path, capsys, flags, message):
     out = tmp_path / "run"
     base = ["--n", "60", "--m", "1", "--iters", "60", "--window", "20", "--replicas", "1",
@@ -500,6 +502,33 @@ def test_main_rejects_bad_sizes(tmp_path, capsys, flags, message):
     assert main([*base, *flags]) == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_lambda_max_one_pins_lambda_and_warns(tmp_path, capsys):
+    # Lambda = 1 leaves lambda no room above 1, as run_chain allows.
+    out = tmp_path / "run"
+    assert main(["--n", "60", "--m", "3", "--iters", "60", "--window", "20", "--replicas", "1",
+                 "--methods", "dig", "--lambda-max", "1", "--threads", "1", "--out-dir", str(out)]) == EXIT_OK
+    assert (read_trace(out / "trace_dig_00.csv")["lambda"] == 1.0).all()
+    err = capsys.readouterr().err
+    assert "[DIG replica 0] warning: lambda hit its upper bound 1 in " in err and "(100%)" in err
+
+
+def test_default_pool_takes_one_worker_per_usable_cpu(tmp_path, monkeypatch):
+    # One usable CPU: the two chains run in the command's own process, not in
+    # pool workers, whatever os.cpu_count() reads.
+    pids = []
+    chain = cli.run_chain
+
+    def record(*args):
+        pids.append(os.getpid())
+        return chain(*args)
+
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(cli, "run_chain", record)
+    assert main(["--n", "60", "--iters", "20", "--window", "5", "--replicas", "2", "--methods", "ssg",
+                 "--snapshot-every", "0", "--out-dir", str(tmp_path / "run")]) == EXIT_OK
+    assert pids == [os.getpid()] * 2
 
 
 @pytest.mark.parametrize("iters,written", [(18, False), (20, True)])

@@ -259,8 +259,8 @@ def test_blocked_sweep_matches_whole_matrix_draw(K):
 
 @pytest.mark.parametrize("method", [SSG, DIG])
 def test_full_pass_memory_stays_below_two_matrices(method):
-    # The full pass holds one (n, K) matrix and a block-sized scratch, not
-    # a second (n, K) scratch: traced peak below two (n, K) float64 arrays.
+    # The full pass holds one (n, K) matrix and block-sized temporaries, not
+    # a second (n, K) matrix: traced peak below two (n, K) float64 arrays.
     n, K = 4 * PASS_ROWS, 20
     ds = gen_miller_harrison(n, 2, np.random.default_rng(0))
     prior = empirical_bayes_hyperparams(ds, K)
@@ -271,6 +271,27 @@ def test_full_pass_memory_stays_below_two_matrices(method):
     finally:
         tracemalloc.stop()
     assert peak < 2.0 * n * K * 8
+
+
+@pytest.mark.parametrize("forced_pass_threads", [1, 2], indirect=True)
+def test_full_pass_holds_no_matrix_temporary(forced_pass_threads):
+    # A blocked pass allocates per block, never a whole (n, K) temporary:
+    # one SSG step and one refresh into a given buffer each peak below half
+    # of one float64 (n, K) array, on one thread or two.
+    n, K = 8 * PASS_ROWS, 20
+    ds = gen_miller_harrison(n, 10, np.random.default_rng(0))
+    config = SamplerConfig(method=SSG, T=1, seed=1)
+    rng = np.random.default_rng(1)
+    state = init_state(ds, K, empirical_bayes_hyperparams(ds, K), rng)
+    step, out = samplers._SystematicScan(ds, K, n, config), np.empty((n, K))
+    for run_pass in (lambda: step(1, state, rng), lambda: refresh_responsibilities(ds, state, out=out)):
+        tracemalloc.start()
+        try:
+            run_pass()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * n * K * 8
 
 
 def test_rsg_only_touches_selected_indices():
