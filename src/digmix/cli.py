@@ -371,8 +371,8 @@ def run_experiment(spec: ExperimentSpec) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
 
-    workers = spec.threads if spec.threads else usable_cpus()
-    if workers > 1 and len(jobs) > 1:
+    workers = min(spec.threads or usable_cpus(), len(jobs))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=pin_blas_thread) as pool:
             traces = list(pool.map(_chain_job, jobs))
     else:

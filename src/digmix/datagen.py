@@ -82,7 +82,7 @@ def gen_misspec4(n: int, rng) -> Dataset:
 
 
 def load_csv(path, label_column=None) -> Dataset:
-    """Read a rectangular numeric CSV, whose first row is a header, into a Dataset.
+    """Read a rectangular numeric CSV, whose first row is a header as wide as the rows, into a Dataset.
 
     ``label_column`` selects the ground-truth column by header name or
     0-based index; it is excluded from the feature matrix.
@@ -98,7 +98,7 @@ def load_csv(path, label_column=None) -> Dataset:
     header, rows = rows[0], rows[1:]
     if not rows:
         raise CsvError("no data rows")
-    width = len(rows[0])
+    width = len(header)
     label_idx = None
     if label_column is not None:
         if isinstance(label_column, str):
@@ -113,7 +113,7 @@ def load_csv(path, label_column=None) -> Dataset:
     values = np.empty((len(rows), width))
     for r, row in enumerate(rows):
         if len(row) != width:
-            raise RaggedRowsError(f"row {r} has {len(row)} cells, expected {width}")
+            raise RaggedRowsError(f"row {r} has {len(row)} cells, the header {width}")
         for c, cell in enumerate(row):
             try:
                 values[r, c] = float(cell)

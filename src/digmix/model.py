@@ -297,11 +297,11 @@ def component_sufficient_stats(dataset: Dataset, z: np.ndarray, K: int):
     return counts, sums, sqsums
 
 
-def update_sufficient_stats(stats, x_rows: np.ndarray, z_old: np.ndarray, z_new: np.ndarray,
-                            x_rows_sq: np.ndarray, *, eye: np.ndarray):
-    """Move rows ``x_rows`` from components ``z_old`` to ``z_new`` in ``stats``, in place.
+def update_sufficient_stats(stats, dataset: Dataset, rows: np.ndarray, z_old: np.ndarray, z_new: np.ndarray,
+                            *, eye: np.ndarray):
+    """Move ``rows`` of ``dataset`` from components ``z_old`` to ``z_new`` in ``stats``, in place.
 
-    ``x_rows_sq`` holds the rows' squares.  Each row must appear once.
+    Each row must appear once; its x and x**2 are gathered from the dataset.
     Costs O(md + Kd) for m rows: the one-hot difference matrix (zero on rows
     that stay) enters two (K, m) x (m, d) products.  ``eye`` is
     ``np.eye(K)``, built once by the caller.
@@ -310,8 +310,8 @@ def update_sufficient_stats(stats, x_rows: np.ndarray, z_old: np.ndarray, z_new:
     diff = eye.take(z_new, axis=0)     # take gathers rows faster than eye[z_new]
     diff -= eye.take(z_old, axis=0)
     counts += diff.sum(axis=0)
-    sums += diff.T @ x_rows
-    sqsums += diff.T @ x_rows_sq
+    sums += diff.T @ dataset.x.take(rows, axis=0)
+    sqsums += diff.T @ dataset.xsq.take(rows, axis=0)
     if not counts.all():
         # An emptied component keeps the exact zeros a recompute gives,
         # not the rounding residue of its departed rows.

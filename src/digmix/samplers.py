@@ -84,6 +84,8 @@ class SamplerConfig:
             raise ValueError(f"unknown cll_mode: {self.cll_mode}")
         if self.snapshot_every < 0:
             raise ValueError("need snapshot_every >= 0")
+        if self.seed < 0:
+            raise ValueError("need seed >= 0")
         if self.collect_discomfort_reference and self.method != SSG:
             raise ValueError("only SSG collects the discomfort reference")
 
@@ -193,47 +195,41 @@ class _SystematicScan:
         run_groups(sweep, self.groups)
 
 
+def _redraw(dataset: Dataset, idx: np.ndarray, state: MixtureState, rng):
+    """Redraw rows ``idx`` of ``state.z`` from their m-row pass and ``rng.random(m)``, a repeated
+    row keeping its last draw; returns the rows' probabilities and draws."""
+    P = _normalise_rows(log_density_matrix(dataset.x.take(idx, axis=0), dataset.xsq.take(idx, axis=0), state))
+    new_z = sample_allocations_rows(P, rng.random(len(idx)))
+    state.z[idx] = new_z
+    return P, new_z
+
+
 class _RandomScan:
     """RSG's allocation step: m rows drawn uniformly with replacement and redrawn.
 
-    Returns the moved rows as ``(x rows, old z, new z, x rows squared)``,
-    each row once, for the statistics update.  The m-row pass gathers its
-    rows of ``x`` and of ``dataset.xsq``; when the rows are distinct (DIG),
-    those gathers are returned.
+    Returns ``(rows, z_old)``: the drawn rows, sorted and each once, and
+    their components before the step, for the statistics update.
     """
 
     def __init__(self, dataset: Dataset, K: int, m: int, config: SamplerConfig):
-        self.x, self.xsq, self.n, self.m = dataset.x, dataset.xsq, dataset.n, m
+        self.dataset, self.m = dataset, m
         self.first = np.ones(m, dtype=bool)    # [0] stays True
 
-    def select(self, t: int, state: MixtureState, rng):
-        """The rows to redraw, and each changed row once, in the order the statistics take them."""
-        idx = rng.integers(0, self.n, self.m)
-        # Duplicate indices resolve to the last draw.  The sorted distinct
-        # indices, as np.unique gives them, for a sort and one comparison.
+    def __call__(self, t: int, state: MixtureState, rng):
+        idx = rng.integers(0, self.dataset.n, self.m)
+        # np.unique's sorted distinct indices, for a sort and one comparison.
         srt = np.sort(idx)
         np.not_equal(srt[1:], srt[:-1], out=self.first[1:])
-        return idx, srt[self.first]
-
-    def __call__(self, t: int, state: MixtureState, rng):
-        idx, changed = self.select(t, state, rng)
-        x_sel, x_sel_sq = self.x.take(idx, axis=0), self.xsq.take(idx, axis=0)
-        rows = _normalise_rows(log_density_matrix(x_sel, x_sel_sq, state))
-        new_z = sample_allocations_rows(rows, rng.random(self.m))
-        z_old = state.z[changed]
-        state.z[idx] = new_z
-        self.redrawn(idx, rows, new_z)
-        if changed is idx:
-            return x_sel, z_old, new_z, x_sel_sq
-        return self.x.take(changed, axis=0), z_old, state.z[changed], self.xsq.take(changed, axis=0)
-
-    def redrawn(self, idx: np.ndarray, rows: np.ndarray, new_z: np.ndarray):
-        """Sees each redrawn row's fresh probabilities; RSG keeps nothing of them."""
+        rows = srt[self.first]
+        z_old = state.z[rows]
+        _redraw(self.dataset, idx, state, rng)
+        return rows, z_old
 
 
-class _AdaptiveScan(_RandomScan):
-    """DIG's allocation step: m distinct rows drawn by their selection weights.
+class _AdaptiveScan:
+    """DIG's allocation step: m distinct rows drawn by their selection weights and redrawn.
 
+    Returns ``(rows, z_old)`` as RSG's step does, the rows in draw order.
     The weights follow alpha <- f alpha + g exp(-lambda p) on the
     unnormalised vector ``alpha_raw``; normalising inside the recursion would
     rescale the discomfort term by its sum (~n/2) and keep the effective
@@ -249,11 +245,10 @@ class _AdaptiveScan(_RandomScan):
     """
 
     def __init__(self, dataset: Dataset, K: int, m: int, config: SamplerConfig):
-        super().__init__(dataset, K, m, config)
         if not 1.0 <= config.Lambda < math.inf:     # NaN fails it too
             raise ValueError("lambda must lie in [1, Lambda], with Lambda finite")
         n = dataset.n
-        self.dataset, self.T, self.Lambda = dataset, config.T, config.Lambda
+        self.dataset, self.m, self.T, self.Lambda = dataset, m, config.T, config.Lambda
         self.schedule = WeightSchedule(s=transition_point(n, K, m), a=config.tanh_a)
         self.lam = 1.0
         self.refreshes = self.at_bound = 0
@@ -264,7 +259,7 @@ class _AdaptiveScan(_RandomScan):
         self.idx_n = np.arange(n)
         self.idx_m = np.arange(m)
 
-    def select(self, t: int, state: MixtureState, rng):
+    def __call__(self, t: int, state: MixtureState, rng):
         if refresh_due(t, self.T):      # always at t = 1
             # p_{i,z_i}, read by this refresh only but held until the next: as a
             # local it raised the benchmark's large-n peak RSS from 166 to 171 MB.
@@ -283,10 +278,10 @@ class _AdaptiveScan(_RandomScan):
         # The race keys are scale-invariant in the weights, so the raw vector
         # drives selection directly; it is normalised only for snapshots.
         idx = sample_without_replacement(self.alpha_raw, self.m, rng)
-        return idx, idx
-
-    def redrawn(self, idx: np.ndarray, rows: np.ndarray, new_z: np.ndarray):
-        self.discomfort[idx] = discomfort(rows[self.idx_m, new_z], self.lam)
+        z_old = state.z[idx]
+        P, new_z = _redraw(self.dataset, idx, state, rng)
+        self.discomfort[idx] = discomfort(P[self.idx_m, new_z], self.lam)
+        return idx, z_old
 
 
 _STEPS = {SSG: _SystematicScan, RSG: _RandomScan, DIG: _AdaptiveScan}
@@ -382,7 +377,7 @@ def run_chain(dataset: Dataset, K: int, prior: PriorSpec, config: SamplerConfig)
 
         # Per-component (counts, sums, sqsums) of the current allocations, shared
         # by the pi and mu/sigma2 draws, the trace CLL and occupancy.  A step that
-        # returns its moved rows has them moved in place, with a recompute once
+        # returns (rows, z_old) has those rows moved in place, with a recompute once
         # per epoch (ceil(n/m) iterations) to bound rounding drift; a full sweep
         # (and every iteration at m = n) recomputes.
         epoch = -(-n // m)
@@ -394,7 +389,8 @@ def run_chain(dataset: Dataset, K: int, prior: PriorSpec, config: SamplerConfig)
             tic = time.perf_counter_ns()
             moved = step(t, state, rng)
             if moved is not None and (t - 1) % epoch != 0:
-                update_sufficient_stats(stats, *moved, eye=eye)
+                rows, z_old = moved
+                update_sufficient_stats(stats, dataset, rows, z_old, state.z[rows], eye=eye)
             else:
                 stats = component_sufficient_stats(dataset, state.z, K)
             state.pi = sample_mixture_weights(rng, stats, const)

@@ -531,6 +531,62 @@ def test_default_pool_takes_one_worker_per_usable_cpu(tmp_path, monkeypatch):
     assert pids == [os.getpid()] * 2
 
 
+def test_pool_takes_at_most_one_worker_per_chain(tmp_path, monkeypatch):
+    # Workers are sized by the jobs: a fork pool starts all of them at its
+    # first submit.  An in-process stand-in records the size under any start
+    # method.
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers, initializer):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    base = ["--n", "60", "--iters", "20", "--window", "5", "--replicas", "1", "--m", "3",
+            "--snapshot-every", "0", "--threads", "6"]
+    assert main([*base, "--methods", "ssg,dig", "--out-dir", str(tmp_path / "two")]) == EXIT_OK
+    assert main([*base, "--methods", "dig", "--out-dir", str(tmp_path / "one")]) == EXIT_OK
+    assert sizes == [2]
+
+
+_RANGE_CASES = ([("Lambda", "--lambda-max", v) for v in ("0.5", "1", "inf", "nan")]
+                + [("tanh_a", "--tanh-a", v) for v in ("0", "1e-9", "inf", "nan")]
+                + [("snapshot_every", "--snapshot-every", v) for v in ("-1", "0")]
+                + [("m", "--m", v) for v in ("0", "1", "60", "61")]
+                + [("seed", "--seed", v) for v in ("-1", "0")])
+
+
+@pytest.mark.parametrize("field,flag,value", _RANGE_CASES,
+                         ids=[f"{flag[2:]}={value}" for _, flag, value in _RANGE_CASES])
+def test_command_takes_the_chain_settings_run_chain_takes(tmp_path, field, flag, value):
+    # At each boundary the command exits 2, before the output directory is
+    # made, exactly when run_chain raises ValueError for the same setting.
+    ds = build_dataset(ExperimentSpec(n=60, data_seed=5))
+    setting = dict(method=samplers.DIG, T=20, m=3, snapshot_every=0)
+    setting[field] = (float if field in ("Lambda", "tanh_a") else int)(value)
+    try:
+        samplers.run_chain(ds, 3, cli.empirical_bayes_hyperparams(ds, 3), samplers.SamplerConfig(**setting))
+    except ValueError:
+        run_chain_rejects = True
+    else:
+        run_chain_rejects = False
+    out = tmp_path / "run"
+    code = main(["--n", "60", "--data-seed", "5", "--methods", "dig", "--m", "3", "--iters", "20",
+                 "--window", "5", "--replicas", "1", "--snapshot-every", "0", "--threads", "1",
+                 "--out-dir", str(out), flag, value])
+    assert code == (EXIT_USAGE if run_chain_rejects else EXIT_OK)
+    assert out.exists() != run_chain_rejects
+
+
 @pytest.mark.parametrize("iters,written", [(18, False), (20, True)])
 def test_short_run_skips_alpha_gap_with_a_warning(tmp_path, capsys, iters, written):
     # The gap series needs MIN_REFERENCE_SAMPLES (10) SSG samples from the
@@ -575,7 +631,10 @@ def test_main_rejects_m_outside_range(tmp_path, capsys, m):
     ("a,b\n1,7\n2,7\n3,7\n", ["--k-fit", "2"], EXIT_USAGE, "error: degenerate column"),
     ("a,b\n1,7\n2,7\n3,7\n", ["--k-fit", "2", "--standardize", "on"], EXIT_USAGE,
      "error: degenerate column"),
-], ids=["unlabeled-no-k", "label-gap", "label-only", "one-row", "constant", "constant-standardized"])
+    ("a,b,lab\n1,2\n3,4\n", ["--label-col", "lab"], EXIT_IO, "I/O error: row 0 has 2 cells, the header 3"),
+    ("a,lab\n1,2,0\n3,4,1\n", ["--label-col", "lab"], EXIT_IO, "I/O error: row 0 has 3 cells, the header 2"),
+], ids=["unlabeled-no-k", "label-gap", "label-only", "one-row", "constant", "constant-standardized",
+        "header-wider", "header-narrower"])
 def test_csv_input_errors_exit_before_any_chain(tmp_path, capsys, text, flags, code, message):
     # Data the command cannot fit are input errors (2), or CSV errors (3)
     # when the file itself is at fault, never numerical failures (4).

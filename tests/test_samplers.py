@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from digmix import samplers
-from digmix.datagen import gen_miller_harrison
+from digmix.datagen import gen_miller_harrison, standardize
 from digmix.adaptation import refresh_due
 from digmix.model import (PASS_ROWS, VARIANCE_FLOOR, Dataset, PriorSpec, _normalise_rows,
                           empirical_bayes_hyperparams, log_density_matrix, refresh_responsibilities,
@@ -110,6 +110,8 @@ def test_config_validation():
         SamplerConfig(cll_mode="mean")
     with pytest.raises(ValueError, match="snapshot_every"):
         SamplerConfig(snapshot_every=-5)
+    with pytest.raises(ValueError, match="seed >= 0"):
+        SamplerConfig(seed=-1)
     for method in (RSG, DIG):
         with pytest.raises(ValueError, match="only SSG"):
             SamplerConfig(method=method, m=5, collect_discomfort_reference=True)
@@ -365,6 +367,29 @@ def test_every_discomfort_is_the_one_formula(monkeypatch):
     calls[0] = 0
     run(SSG, ds, prior, T=T, seed=1, snapshot_every=0, collect_discomfort_reference=True)
     assert calls[0] == T - T // 2
+
+
+# ---------------------------------------------------------------- adaptive-MCMC conditions
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dig_adaptation_diminishes_and_weights_stay_bounded_after_s(seed):
+    """DIG is an adaptive random-scan Gibbs sampler, valid under diminishing
+    adaptation and selection probabilities bounded away from zero (Roberts &
+    Rosenthal 2007; Łatuszyński, Roberts & Rosenthal 2013).  On criterion 2's
+    data both hold from t = 2s on: over seeds 0-3, n * min alpha read
+    0.852-0.855 and (t - s) * max_i |n alpha_t,i - n alpha_{t-10},i| at most
+    14.8.  Between s and 2s the lambda reset breaks the change bound for a
+    while (the product reached 2,175-7,052).  The greedy phase up to s has no
+    floor at all: n * min alpha fell to 7e-38 ... 8e-7 there.  That phase is
+    finite, so the asymptotic conditions still hold."""
+    ds, _ = standardize(gen_miller_harrison(1000, 2, np.random.default_rng(3)))
+    tr = run(DIG, ds, empirical_bayes_hyperparams(ds, 3), T=5000, m=10, seed=seed, snapshot_every=10)
+    n, s, alpha = ds.n, tr.s, tr.alpha_snapshots
+    assert s == 219
+    first = -(-2 * s // 10) * 10       # the first snapshot at t >= 2s
+    for t in range(first, tr.T + 1, 10):
+        assert n * alpha[t].min() >= 0.5, f"iteration {t}"
+        assert (t - s) * np.abs(n * (alpha[t] - alpha[t - 10])).max() <= 30.0, f"iteration {t}"
 
 
 # ---------------------------------------------------------------- edge cases

@@ -120,13 +120,12 @@ def test_update_matches_recompute_and_empties_exactly():
     for _ in range(200):
         rows = rng.choice(ds.n, 7, replace=False)
         z_new = rng.integers(0, K, 7)
-        update_sufficient_stats(stats, ds.x[rows], z[rows], z_new, ds.xsq[rows], eye=np.eye(K))
+        update_sufficient_stats(stats, ds, rows, z[rows], z_new, eye=np.eye(K))
         z[rows] = z_new
         assert_stats_equal(stats, ds, z, K)
     # Emptying a component leaves its sums at exact zeros.
     rows = np.nonzero(z == 0)[0]
-    update_sufficient_stats(stats, ds.x[rows], z[rows], np.ones(rows.size, dtype=int), ds.xsq[rows],
-                            eye=np.eye(K))
+    update_sufficient_stats(stats, ds, rows, z[rows], np.ones(rows.size, dtype=int), eye=np.eye(K))
     assert stats[0][0] == 0
     assert np.all(stats[1][0] == 0) and np.all(stats[2][0] == 0)
 
